@@ -2,8 +2,8 @@
 
 A scheduler moves over a ring of ``m`` process slots and one absorbing
 deadlock state.  The package evaluates per-quantum state probabilities three
-independent ways (exact matrix propagation, per-scheme closed forms, seeded
-Monte Carlo) and derives deadlock/fairness analytics for comparing schemes.
+independent ways (exact matrix propagation, closed forms, seeded Monte Carlo)
+and derives deadlock/fairness analytics for comparing schemes.
 """
 
 __version__ = "0.1.0"
@@ -18,21 +18,18 @@ from .analysis import (
 )
 from .model import (
     ATOL,
-    DEADLOCK,
     DRIFT_TOL,
     DimensionError,
     Distribution,
     ModelError,
     ParameterError,
     SchemeParams,
-    StateIndex,
     Trajectory,
     TransitionMatrix,
     build_matrix,
     propagate,
     state_labels,
     step,
-    wrap_index,
 )
 from .montecarlo import (
     CENSORED,
@@ -62,13 +59,10 @@ __all__ = [
     "ParameterError",
     "DimensionError",
     "ConstraintError",
-    "StateIndex",
-    "DEADLOCK",
     "SchemeParams",
     "Distribution",
     "TransitionMatrix",
     "Trajectory",
-    "wrap_index",
     "state_labels",
     "build_matrix",
     "step",

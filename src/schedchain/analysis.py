@@ -141,7 +141,6 @@ class ComparisonReport:
     entries: tuple[SchemeComparison, ...]
     ranking: tuple[int, ...]
     horizon: int
-    engine: str = "matrix"
 
     @property
     def ranked_schemes(self) -> tuple[SchemeId, ...]:

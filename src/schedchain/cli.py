@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .analysis import compare as compare_presets
 from .model import (
+    DRIFT_TOL,
     DimensionError,
     Distribution,
     ModelError,
@@ -146,7 +147,7 @@ def _parse_pb(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     if len(values) < 2:
         parser.error(f"--pb implies m={len(values)}, but m must be >= 2")
     total = sum(values)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > DRIFT_TOL:
         parser.error(f"--pb must sum to 1, got {total!r}")
     return values
 

@@ -24,13 +24,10 @@ __all__ = [
     "ModelError",
     "ParameterError",
     "DimensionError",
-    "StateIndex",
-    "DEADLOCK",
     "SchemeParams",
     "Distribution",
     "TransitionMatrix",
     "Trajectory",
-    "wrap_index",
     "state_labels",
     "build_matrix",
     "step",
@@ -57,48 +54,11 @@ class DimensionError(ModelError):
     """Vector/matrix sizes do not agree."""
 
 
-def wrap_index(i: int, m: int) -> int:
-    """Map any 1-based ring position onto 1..m (``wrap_index(0, m) == m``)."""
-    if m < 2:
-        raise ParameterError(f"ring needs at least 2 slots, got m={m}")
-    return (i - 1) % m + 1
-
-
 def state_labels(m: int) -> list[str]:
     """Column labels ``P1..Pm, D`` for vectors and matrices of this chain."""
     if m < 2:
         raise ParameterError(f"ring needs at least 2 slots, got m={m}")
     return [f"P{i}" for i in range(1, m + 1)] + ["D"]
-
-
-@dataclass(frozen=True)
-class StateIndex:
-    """One chain state: process slot ``1..m``, or deadlock when ``process`` is None."""
-
-    process: int | None
-
-    def __post_init__(self) -> None:
-        if self.process is not None and self.process < 1:
-            raise ParameterError(f"process slots are numbered from 1, got {self.process}")
-
-    @property
-    def is_deadlock(self) -> bool:
-        return self.process is None
-
-    def column(self, m: int) -> int:
-        """0-based position in a length ``m + 1`` state vector (deadlock last)."""
-        if self.process is None:
-            return m
-        if self.process > m:
-            raise DimensionError(f"slot P{self.process} does not exist with m={m}")
-        return self.process - 1
-
-    def label(self) -> str:
-        return "D" if self.process is None else f"P{self.process}"
-
-
-#: The single deadlock state.
-DEADLOCK = StateIndex(None)
 
 
 def _check_int(value, name: str, minimum: int) -> int:

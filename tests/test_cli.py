@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -277,3 +279,15 @@ def test_output_file_and_io_failure(tmp_path, capsys):
     )
     assert code == 4
     assert "cannot write" in err
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, schedchain.cli; print('scipy' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert child.stdout.strip() == "False"

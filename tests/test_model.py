@@ -6,19 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from schedchain import (
     ATOL,
-    DEADLOCK,
     DimensionError,
     Distribution,
     ParameterError,
     SchemeParams,
-    StateIndex,
     Trajectory,
     TransitionMatrix,
     build_matrix,
     propagate,
     state_labels,
     step,
-    wrap_index,
 )
 
 PB5 = (0.27, 0.15, 0.17, 0.18, 0.23)
@@ -45,31 +42,13 @@ def chain_case(draw, m_max=10):
 
 
 # ---------------------------------------------------------------------------
-# parameters and state indexing
-
-
-def test_wrap_index_circles_both_directions():
-    assert wrap_index(6, 5) == 1
-    assert wrap_index(0, 5) == 5
-    assert wrap_index(-1, 5) == 4
-    assert wrap_index(3, 5) == 3
+# parameters and state labels
 
 
 def test_state_labels():
     assert state_labels(3) == ["P1", "P2", "P3", "D"]
     with pytest.raises(ParameterError):
         state_labels(1)
-
-
-def test_state_index_columns():
-    assert StateIndex(2).column(5) == 1
-    assert DEADLOCK.column(5) == 5
-    assert DEADLOCK.is_deadlock
-    assert StateIndex(4).label() == "P4"
-    with pytest.raises(DimensionError):
-        StateIndex(6).column(5)
-    with pytest.raises(ParameterError):
-        StateIndex(0)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Tests for scheme presets and their closed-form evaluators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +171,76 @@ def test_closed_form_rejects_negative_quantum():
     preset = make_preset(SchemeId.I_A, {}, pb=PB5)
     with pytest.raises(ParameterError):
         closed_form(preset, -1)
+
+
+# ---------------------------------------------------------------------------
+# the per-scheme formulas of the paper, kept as an oracle for the one closed form
+
+
+def _paper_processes(preset, n):
+    """Slot mass at quantum ``n`` from the scheme's own formula."""
+    pb, p, s = preset.pb, preset.params.p, preset.params.s
+    if preset.scheme is SchemeId.I_A:
+        return pb
+    if preset.scheme is SchemeId.I_B:
+        return pb * s**n
+    if preset.scheme in (SchemeId.II_A, SchemeId.IV):
+        return np.roll(pb, n)
+    if preset.scheme is SchemeId.II_B:
+        return np.roll(pb, n) * p**n
+    return sum(math.comb(n, k) * p**k * s ** (n - k) * np.roll(pb, k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "scheme, free",
+    [
+        (SchemeId.I_A, {}),
+        (SchemeId.I_B, {"r": 0.166}),
+        (SchemeId.II_A, {}),
+        (SchemeId.II_B, {"p": 0.834}),
+        (SchemeId.III_A, {"p": 0.5}),
+        (SchemeId.III_B, {"p": 0.417, "r": 0.166}),
+        (SchemeId.IV, {}),
+    ],
+)
+def test_closed_form_matches_paper_formulas(scheme, free):
+    preset = make_preset(scheme, free, pb=None if scheme is SchemeId.IV else PB5, m=5)
+    for n in (0, 1, 2, 7, 13, 60):
+        out = closed_form(preset, n)
+        expected = _paper_processes(preset, n)
+        np.testing.assert_allclose(out.processes, expected, rtol=1e-12)
+        assert out.deadlock == pytest.approx(1.0 - expected.sum(), abs=1e-14)
+        # CSV would print a negative zero as "-0"
+        assert not np.signbit(out.deadlock)
+
+
+def _hazard_free(scheme, r):
+    return {"p": 0.417 * (1.0 - r), "r": r} if scheme is SchemeId.III_B else {"r": r}
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-9, 1e-4])
+@pytest.mark.parametrize("scheme", [SchemeId.I_B, SchemeId.II_B, SchemeId.III_B])
+def test_closed_form_small_hazard_has_relative_accuracy(scheme, r):
+    preset = make_preset(scheme, _hazard_free(scheme, r), pb=PB5)
+    exact = propagate(preset.init, build_matrix(preset.params), 5000)
+    dead, survival = exact.deadlock_mass(), exact.survival()
+    for n in (1, 2, 10, 100, 1000, 4999, 5000):
+        out = closed_form(preset, n)
+        assert out.deadlock == pytest.approx(dead[n], rel=1e-10, abs=0.0)
+        assert float(out.processes.sum()) == pytest.approx(survival[n], rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.I_B, SchemeId.II_B, SchemeId.III_B])
+def test_closed_form_certain_deadlock(scheme):
+    free = {"p": 0.0, "r": 1.0} if scheme is SchemeId.III_B else {"r": 1.0}
+    preset = make_preset(scheme, free, pb=PB5)
+    assert np.array_equal(closed_form(preset, 0).probs, preset.init.probs)
+    exact = propagate(preset.init, build_matrix(preset.params), 3)
+    for n in (1, 2, 3):
+        out = closed_form(preset, n)
+        assert out.deadlock == 1.0
+        assert not out.processes.any()
+        assert np.max(np.abs(out.probs - exact[n].probs)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
