@@ -29,7 +29,6 @@ from .model import (
     build_matrix,
     propagate,
     state_labels,
-    step,
 )
 from .montecarlo import (
     CENSORED,
@@ -65,7 +64,6 @@ __all__ = [
     "Trajectory",
     "state_labels",
     "build_matrix",
-    "step",
     "propagate",
     "SchemeId",
     "ConstraintSet",

@@ -42,6 +42,18 @@ __all__ = [
 _SCHEME_ORDER = {scheme: rank for rank, scheme in enumerate(SchemeId)}
 
 
+def _jain(shares: np.ndarray) -> np.ndarray:
+    """Jain index of each row of non-negative shares with a positive total.
+
+    Rows whose sum of squares leaves the normal float range are first scaled
+    by their largest share (the index is scale-invariant).
+    """
+    tiny = (shares * shares).sum(axis=-1, keepdims=True) < np.finfo(float).tiny
+    shares = np.where(tiny, shares / shares.max(axis=-1, keepdims=True), shares)
+    total = shares.sum(axis=-1)
+    return total * total / (shares.shape[-1] * (shares * shares).sum(axis=-1))
+
+
 def jain_fairness(shares) -> float:
     """Jain index ``(sum c)^2 / (k * sum c^2)`` of non-negative shares.
 
@@ -53,10 +65,9 @@ def jain_fairness(shares) -> float:
         raise DimensionError("shares must be a non-empty vector")
     if float(c.min()) < 0.0:
         raise ParameterError("shares must be non-negative")
-    total = float(c.sum())
-    if total <= 0.0:
+    if float(c.sum()) <= 0.0:
         raise ParameterError("at least one share must be positive")
-    return total * total / (c.size * float((c * c).sum()))
+    return float(_jain(c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,18 +106,13 @@ def metrics(trajectory: Trajectory, params: SchemeParams | None = None) -> Schem
     """
     table = trajectory.to_array()
     survival = 1.0 - table[:, -1]
-    m = trajectory.m
 
-    fairness = np.empty(len(trajectory))
-    for n, alive in enumerate(survival):
-        if alive <= 0.0:
-            fairness[n] = 1.0
-            continue
-        conditional = table[n, :-1] / alive
-        if float(conditional.sum()) <= 0.0:
-            fairness[n] = 1.0
-        else:
-            fairness[n] = jain_fairness(conditional)
+    # fairness is 1 once no conditional mass is left on the process slots
+    alive = survival > 0.0
+    shares = table[:, :-1] / np.where(alive, survival, 1.0)[:, None]
+    live = alive & (shares.sum(axis=1) > 0.0)
+    fairness = np.ones(len(trajectory))
+    fairness[live] = _jain(shares[live])
 
     if params is not None:
         hazard = params.r

@@ -16,7 +16,8 @@ that can be fed back through ``RunSpec.from_meta`` to reproduce the run
 byte for byte.  The output destination is not part of ``meta``.
 
 Exit codes: 0 success, 1 engine cross-check divergence (``--verify``),
-2 usage error, 3 scheme constraint violation, 4 output I/O failure.
+2 usage error (also a horizon too large to allocate), 3 scheme constraint
+violation, 4 output I/O failure.
 """
 
 from __future__ import annotations
@@ -307,23 +308,23 @@ def _resolve(spec: RunSpec):
 
 def _trajectory_payload(spec: RunSpec, engine: str, table: np.ndarray, m: int) -> Payload:
     columns = ["quantum"] + state_labels(m)
-    rows = [[n] + [float(v) for v in table[n]] for n in range(table.shape[0])]
+    rows = [[n] + row for n, row in enumerate(table.tolist())]
     return Payload(spec.to_meta(engine), columns, rows)
 
 
 def _exec_run(spec: RunSpec) -> Payload:
     params, init, preset = _resolve(spec)
-    trajectory = propagate(init, build_matrix(params), spec.quanta)
+    table = propagate(init, build_matrix(params), spec.quanta).to_array()
     if spec.verify:
         if preset is None:
             raise ParameterError("--verify needs --scheme (raw parameters have no closed form)")
-        analytic = closed_form_trajectory(preset, spec.quanta)
-        gap = float(np.max(np.abs(trajectory.to_array() - analytic.to_array())))
+        analytic = closed_form_trajectory(preset, spec.quanta).to_array()
+        gap = float(np.max(np.abs(table - analytic)))
         if gap > VERIFY_TOL:
             raise EngineDivergence(
                 f"matrix and closed-form engines diverge by {gap:.3e} (> {VERIFY_TOL:g})"
             )
-    return _trajectory_payload(spec, "matrix", trajectory.to_array(), params.m)
+    return _trajectory_payload(spec, "matrix", table, params.m)
 
 
 def _exec_closed_form(spec: RunSpec) -> Payload:
@@ -457,7 +458,7 @@ def main(argv=None) -> int:
     except ConstraintError as exc:
         print(f"schedchain: constraint violation: {exc}", file=sys.stderr)
         return 3
-    except ModelError as exc:
+    except (ModelError, MemoryError) as exc:
         print(f"schedchain: error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -7,9 +7,10 @@ probability ``p``, stays put with ``s``, retreats to the previous slot with
 (the slot after ``Pm`` is ``P1``), and ``D`` is absorbing: a deadlocked
 scheduler never returns to the ring.
 
-All state vectors and matrices order the states ``P1..Pm`` followed by ``D``.
-Every type in this module is immutable after construction and safe to share
-across threads; the operations are pure functions.
+All state vectors and matrices order the states ``P1..Pm`` followed by ``D``;
+a trajectory is one array with a row per quantum.  Every type in this module
+is validated once, at construction, and immutable after it, so it is safe to
+share across threads; the operations are pure functions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "Trajectory",
     "state_labels",
     "build_matrix",
-    "step",
     "propagate",
 ]
 
@@ -70,21 +70,42 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _prob_array(values, what: str) -> np.ndarray:
-    """Validate a probability vector, renormalizing away sub-DRIFT_TOL drift."""
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise DimensionError(f"{what} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{what} must be finite")
-    if arr.size and float(arr.min()) < 0.0:
-        raise ParameterError(f"{what} must be non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > DRIFT_TOL:
-        raise ParameterError(f"{what} must sum to 1, got {total!r}")
-    if abs(total - 1.0) > ATOL or float(arr.max(initial=0.0)) > 1.0:
-        arr = arr / total
+def _renormalize(arr: np.ndarray, sums, worst, top) -> np.ndarray:
+    """Divide in place by its sum each row off 1 by more than ATOL or holding an entry above 1.
+
+    ``arr`` is a vector or a table of non-negative rows, ``worst`` the largest
+    ``|sums - 1|`` and ``top`` the largest sum; no entry exceeds its row sum, so
+    entries are only searched when ``top`` is above 1.  Reductions are ufunc
+    calls: on short rows the ndarray method wrappers cost more than the work.
+    """
+    if worst > ATOL or (top > 1.0 and np.maximum.reduce(arr, axis=None) > 1.0):
+        fix = (abs(sums - 1.0) > ATOL) | (np.maximum.reduce(arr, axis=-1) > 1.0)
+        arr /= np.where(fix, sums, 1.0)[..., None]
     return arr
+
+
+def _stochastic(values, what: str, ndim: int) -> np.ndarray:
+    """Validate a probability vector (``ndim=1``) or a table of rows (``ndim=2``).
+
+    Entries must be finite and non-negative, every row must sum to 1 within
+    DRIFT_TOL (smaller drift is renormalized away) and hold at least three
+    entries (two process slots plus D).  Returns a new float array.
+    """
+    arr = np.array(values, dtype=float)
+    if arr.ndim != ndim:
+        raise DimensionError(f"{what} must be {('one', 'two')[ndim - 1]}-dimensional")
+    if np.minimum.reduce(arr, axis=None, initial=0.0) < 0.0:
+        raise ParameterError(f"{what} must be non-negative")
+    sums = np.add.reduce(arr, axis=-1)
+    drift = abs(sums - 1.0)
+    worst = drift if ndim == 1 else np.maximum.reduce(drift, initial=0.0)
+    if not worst <= DRIFT_TOL:  # also when a NaN or infinite entry spoils a row sum
+        problem = "be finite" if not np.isfinite(worst) else f"sum to 1, got {sums}"
+        raise ParameterError(f"{what} must {problem}")
+    if arr.shape[-1] < 3:
+        raise DimensionError(f"need two process slots plus deadlock, got {arr.shape[-1]} states")
+    top = sums if ndim == 1 else np.maximum.reduce(sums, initial=0.0)
+    return _renormalize(arr, sums, worst, top)
 
 
 @dataclass(frozen=True)
@@ -104,7 +125,7 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_int(self.m, "m", 2))
-        probs = _prob_array([self.p, self.s, self.q, self.r], "move probabilities (p, s, q, r)")
+        probs = _stochastic([self.p, self.s, self.q, self.r], "move probabilities (p, s, q, r)", 1)
         for name, value in zip(("p", "s", "q", "r"), probs):
             object.__setattr__(self, name, float(value))
 
@@ -121,14 +142,17 @@ class Distribution:
     quantum: int = 0
 
     def __post_init__(self) -> None:
-        arr = _prob_array(self.probs, "state probabilities")
-        if arr.size < 3:
-            raise DimensionError(
-                f"need at least two process slots plus deadlock, got {arr.size} states"
-            )
+        arr = _stochastic(self.probs, "state probabilities", 1)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
         object.__setattr__(self, "quantum", _check_int(self.quantum, "quantum", 0))
+
+    @classmethod
+    def _of_row(cls, row: np.ndarray, quantum: int) -> "Distribution":
+        """Wrap a read-only row that has already passed ``_stochastic``."""
+        dist = object.__new__(cls)
+        dist.__dict__.update(probs=row, quantum=quantum)
+        return dist
 
     @classmethod
     def from_process_probs(cls, pb, quantum: int = 0) -> "Distribution":
@@ -164,23 +188,9 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.array(self.entries, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        t = _stochastic(self.entries, "transition matrix rows", 2)
+        if t.shape[0] != t.shape[1]:
             raise DimensionError(f"transition matrix must be square, got shape {t.shape}")
-        if t.shape[0] < 3:
-            raise DimensionError(
-                f"need at least two process slots plus deadlock, got {t.shape[0]} states"
-            )
-        if not np.all(np.isfinite(t)):
-            raise ParameterError("transition probabilities must be finite")
-        if float(t.min()) < 0.0:
-            raise ParameterError("transition probabilities must be non-negative")
-        sums = t.sum(axis=1)
-        if float(np.max(np.abs(sums - 1.0))) > DRIFT_TOL:
-            raise ParameterError(f"every row must sum to 1, got row sums {sums!r}")
-        fix = (np.abs(sums - 1.0) > ATOL) | (t.max(axis=1) > 1.0)
-        if fix.any():
-            t[fix] = t[fix] / sums[fix, None]
         if abs(t[-1, -1] - 1.0) > ATOL or float(t[-1, :-1].max()) > ATOL:
             raise ParameterError("deadlock row must be absorbing (unit mass on D)")
         t.flags.writeable = False
@@ -193,58 +203,47 @@ class TransitionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Distributions for quanta ``0..N`` produced by repeated stepping.
+    """Distributions for quanta ``0..N`` as one read-only ``(N + 1) x (m + 1)`` array.
 
-    Rows carry strictly consecutive quantum numbers starting at 0, and the
-    deadlock mass never decreases (D is absorbing).
+    Row ``n`` is quantum ``n``, and the deadlock mass never decreases (D is
+    absorbing).  ``traj[n]`` and iteration wrap each row, a read-only view of
+    ``rows``, in a :class:`Distribution` without checking it again.
     """
 
-    rows: tuple[Distribution, ...]
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = tuple(self.rows)
-        if not rows:
+        table = _stochastic(self.rows, "trajectory rows", 2)
+        if table.shape[0] == 0:
             raise ParameterError("trajectory must contain at least the initial distribution")
-        if rows[0].quantum != 0:
-            raise ParameterError(f"trajectories start at quantum 0, got {rows[0].quantum}")
-        size = rows[0].probs.size
-        for k, row in enumerate(rows):
-            if row.probs.size != size:
-                raise DimensionError("all trajectory rows must have the same state count")
-            if row.quantum != k:
-                raise ParameterError("trajectory quanta must increase by exactly 1")
-        dead = np.array([row.deadlock for row in rows])
-        if dead.size > 1 and float(np.diff(dead).min()) < -ATOL:
+        if float(np.diff(table[:, -1]).min(initial=0.0)) < -ATOL:
             raise ParameterError("deadlock mass must be non-decreasing along a trajectory")
-        object.__setattr__(self, "rows", rows)
+        table.flags.writeable = False
+        object.__setattr__(self, "rows", table)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
     def __iter__(self):
-        return iter(self.rows)
+        return map(Distribution._of_row, self.rows, range(len(self)))
 
-    def __getitem__(self, index):
-        return self.rows[index]
+    def __getitem__(self, quantum: int) -> Distribution:
+        return Distribution._of_row(self.rows[quantum], quantum % len(self))
 
     @property
     def m(self) -> int:
-        return self.rows[0].m
-
-    @property
-    def final(self) -> Distribution:
-        return self.rows[-1]
+        return self.rows.shape[1] - 1
 
     def to_array(self) -> np.ndarray:
-        """Stack the rows into an ``(N + 1) x (m + 1)`` array."""
-        return np.array([row.probs for row in self.rows])
+        """The read-only ``(N + 1) x (m + 1)`` table itself."""
+        return self.rows
 
     def deadlock_mass(self) -> np.ndarray:
-        return np.array([row.deadlock for row in self.rows])
+        return self.rows[:, -1].copy()
 
     def survival(self) -> np.ndarray:
         """Probability of still running (not deadlocked) at each quantum."""
-        return 1.0 - self.deadlock_mass()
+        return 1.0 - self.rows[:, -1]
 
 
 def build_matrix(params: SchemeParams) -> TransitionMatrix:
@@ -266,18 +265,11 @@ def build_matrix(params: SchemeParams) -> TransitionMatrix:
     return TransitionMatrix(t)
 
 
-def step(dist: Distribution, matrix: TransitionMatrix) -> Distribution:
-    """Advance a distribution by one quantum (row vector times matrix)."""
-    if dist.probs.size != matrix.entries.shape[0]:
-        raise DimensionError(
-            f"distribution has {dist.probs.size} states but matrix has "
-            f"{matrix.entries.shape[0]}"
-        )
-    return Distribution(dist.probs @ matrix.entries, dist.quantum + 1)
-
-
 def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajectory:
-    """Propagate ``init`` for ``n`` quanta, returning all ``n + 1`` distributions."""
+    """Propagate ``init`` for ``n`` quanta, returning all ``n + 1`` distributions.
+
+    Each new row is renormalized by the rule of ``_stochastic`` before the next step uses it.
+    """
     n = _check_int(n, "quantum count", 0)
     if init.quantum != 0:
         raise ParameterError(f"propagation starts at quantum 0, got {init.quantum}")
@@ -286,9 +278,10 @@ def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajector
             f"distribution has {init.probs.size} states but matrix has "
             f"{matrix.entries.shape[0]}"
         )
-    rows = [init]
-    current = init
-    for _ in range(n):
-        current = step(current, matrix)
-        rows.append(current)
-    return Trajectory(tuple(rows))
+    table = np.empty((n + 1, init.probs.size))
+    table[0] = init.probs
+    for k in range(n):
+        row = table[k] @ matrix.entries
+        total = np.add.reduce(row)
+        table[k + 1] = _renormalize(row, total, abs(total - 1.0), total)
+    return Trajectory(table)

@@ -247,7 +247,8 @@ def _shift_weights(
 
 def _closed_form(
     preset: SchemePreset, n: int, log_fact: np.ndarray | None = None
-) -> Distribution:
+) -> np.ndarray:
+    """The unvalidated quantum-``n`` row ``(P1..Pm, D)``."""
     params = preset.params
     m = params.m
     weights = _shift_weights(n, params.p, params.s, m, log_fact)
@@ -258,7 +259,7 @@ def _closed_form(
     # 1 - (1 - r)^n without cancellation; at r = 1, log1p(-1) = -inf gives nan at n = 0
     r = params.r
     dead = -math.expm1(n * math.log1p(-r)) if r < 1.0 else float(n > 0)
-    return Distribution(np.append(proc, dead), quantum=n)
+    return np.concatenate((proc, [dead]))
 
 
 def closed_form(preset: SchemePreset, n: int) -> Distribution:
@@ -274,11 +275,11 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
     (the dual-route invariant).
     """
     n = _check_int(n, "quantum count", 0)
-    return _closed_form(preset, n)
+    return Distribution(_closed_form(preset, n), quantum=n)
 
 
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:
     """All closed-form distributions for quanta ``0..n`` as a trajectory."""
     n = _check_int(n, "quantum count", 0)
     log_fact = _log_factorials(n)
-    return Trajectory(tuple(_closed_form(preset, k, log_fact) for k in range(n + 1)))
+    return Trajectory(np.array([_closed_form(preset, k, log_fact) for k in range(n + 1)]))

@@ -90,6 +90,16 @@ def test_metrics_fairness_after_total_deadlock():
     assert mx.efficiency_index[1] == 0.0
 
 
+def test_metrics_fairness_stays_in_range_when_shares_underflow():
+    # At r = 0.85 the slot mass falls below 1e-160 by quantum 200, far below
+    # what 1 - D resolves, so the squared conditional shares underflow.
+    preset = make_preset(SchemeId.I_B, {"r": 0.85}, pb=PB5)
+    fairness = metrics(_trajectory(preset, 400), preset.params).fairness
+    assert np.all((fairness >= 0.2) & (fairness <= 1.0 + 1e-12))
+    assert jain_fairness([1e-200, 1e-200]) == 1.0
+    assert jain_fairness(np.array(PB5) * 1e-160) == pytest.approx(JAIN_PB5, abs=1e-12)
+
+
 def test_metrics_survival_never_increases():
     preset = make_preset(SchemeId.III_B, {"p": 0.3, "r": 0.2}, pb=PB5)
     mx = metrics(_trajectory(preset, 60), preset.params)

@@ -243,16 +243,13 @@ def test_verify_needs_a_scheme(capsys):
 
 
 def test_verify_detects_divergence(capsys, monkeypatch):
-    from schedchain import Trajectory, Distribution
+    from schedchain import Trajectory
 
     def skewed(preset, n):
-        rows = []
-        for k in range(n + 1):
-            probs = np.array(preset.init.probs)
-            probs[0] += 1e-6 * (k > 0)
-            probs[1] -= 1e-6 * (k > 0)
-            rows.append(Distribution(probs, quantum=k))
-        return Trajectory(tuple(rows))
+        table = np.tile(preset.init.probs, (n + 1, 1))
+        table[1:, 0] += 1e-6
+        table[1:, 1] -= 1e-6
+        return Trajectory(table)
 
     monkeypatch.setattr(cli, "closed_form_trajectory", skewed)
     code, _, err = run_cli(
@@ -260,6 +257,23 @@ def test_verify_detects_divergence(capsys, monkeypatch):
     )
     assert code == 1
     assert "diverge" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scheme", "I_B", "--r", "0.166", "--walks", "1"],
+        ["closed-form", "--scheme", "III_A", "--p", "0.5"],
+        ["run", "--scheme", "III_A", "--p", "0.5"],
+    ],
+)
+def test_unallocatable_horizon_exits_2(capsys, argv):
+    # 1e15 quanta need petabyte arrays, past the 47-bit address space: the
+    # allocation fails at once, before any memory is touched
+    code, out, err = run_cli(capsys, *argv, "--pb", "0.5,0.5", "--quanta", str(10**15))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("schedchain: error: ")
 
 
 def test_output_file_and_io_failure(tmp_path, capsys):

@@ -13,9 +13,10 @@ from schedchain import (
     Trajectory,
     TransitionMatrix,
     build_matrix,
+    jain_fairness,
+    metrics,
     propagate,
     state_labels,
-    step,
 )
 
 PB5 = (0.27, 0.15, 0.17, 0.18, 0.23)
@@ -167,20 +168,24 @@ def test_transition_matrix_rejects_bad_row_sums():
 
 
 # ---------------------------------------------------------------------------
-# stepping
+# one quantum
+
+
+def _one_step(dist, mat):
+    return propagate(dist, mat, 1)[1]
 
 
 def test_step_leaves_deadlock_alone():
     mat = build_matrix(SchemeParams(0.3, 0.3, 0.2, 0.2, 4))
     dist = Distribution(np.array([0, 0, 0, 0, 1.0]))
-    out = step(dist, mat)
+    out = _one_step(dist, mat)
     assert out.quantum == 1
     assert np.array_equal(out.probs, dist.probs)
 
 
 def test_step_identity_keeps_initial_mass():
     mat = build_matrix(SchemeParams(0.0, 1.0, 0.0, 0.0, 5))
-    out = step(Distribution.from_process_probs(PB5), mat)
+    out = _one_step(Distribution.from_process_probs(PB5), mat)
     assert out.quantum == 1
     assert np.allclose(out.processes, PB5, atol=1e-15)
 
@@ -188,7 +193,7 @@ def test_step_identity_keeps_initial_mass():
 def test_step_pure_cycle_matches_independent_matvec():
     params = SchemeParams(1.0, 0.0, 0.0, 0.0, 5)
     dist = Distribution.from_process_probs(PB5)
-    out = step(dist, build_matrix(params))
+    out = _one_step(dist, build_matrix(params))
     assert np.allclose(out.processes, (0.23, 0.27, 0.15, 0.17, 0.18), atol=1e-15)
 
     # independent oracle: dense matrix-vector product written out by hand
@@ -205,7 +210,7 @@ def test_step_pure_cycle_matches_independent_matvec():
 def test_step_dimension_mismatch():
     mat = build_matrix(SchemeParams(0.5, 0.5, 0.0, 0.0, 4))
     with pytest.raises(DimensionError):
-        step(Distribution.from_process_probs(PB5), mat)
+        _one_step(Distribution.from_process_probs(PB5), mat)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +221,8 @@ def test_propagate_zero_steps():
     init = Distribution.from_process_probs(PB5)
     traj = propagate(init, build_matrix(SchemeParams(0.5, 0.5, 0.0, 0.0, 5)), 0)
     assert len(traj) == 1
-    assert traj[0] is init
+    assert np.array_equal(traj[0].probs, init.probs)
+    assert traj[0].quantum == 0
 
 
 def test_propagate_requires_quantum_zero_start():
@@ -240,19 +246,73 @@ def test_propagate_cycle_has_period_m():
     assert np.allclose(traj[5].probs, traj[0].probs, atol=1e-15)
 
 
+def test_propagate_renormalizes_each_quantum():
+    # Past about quantum 60 the ring is drained: a raw product chain would
+    # read D = 1 + 1 ulp on 137 rows.  propagate renormalises each new row
+    # before stepping from it, so no overshoot is ever fed forward.
+    params = SchemeParams(0.1, 0.4, 0.07, 0.43, 2)
+    mat = build_matrix(params)
+    traj = propagate(Distribution.from_process_probs((0.8, 0.2)), mat, 200)
+    table = traj.to_array()
+
+    raw = table[0]
+    overshoots = 0
+    for _ in range(200):
+        raw = raw @ mat.entries
+        overshoots += raw[-1] > 1.0
+    assert overshoots > 100
+
+    renormalized = 0
+    for k in range(200):
+        row = table[k] @ mat.entries
+        total = float(row.sum())
+        if abs(total - 1.0) > ATOL or float(row.max()) > 1.0:
+            row = row / total
+            renormalized += 1
+        assert row.tobytes() == table[k + 1].tobytes(), f"row {k + 1}"
+    assert renormalized >= 1
+
+    alive = 1.0 - table[:, -1]
+    expected = [
+        jain_fairness(row[:-1] / a) if a > 0.0 else 1.0 for row, a in zip(table, alive)
+    ]
+    assert np.array_equal(metrics(traj).fairness, expected)
+
+
 def test_trajectory_invariants_enforced():
-    init = Distribution.from_process_probs(PB5)
     with pytest.raises(ParameterError):
-        Trajectory(())
+        Trajectory(np.empty((0, 4)))  # no initial distribution
+    with pytest.raises(DimensionError):
+        Trajectory(np.array([0.1, 0.2, 0.1, 0.6]))  # one row, not a table
     with pytest.raises(ParameterError):
-        Trajectory((init, Distribution(init.probs, quantum=2)))  # quantum gap
+        Trajectory(np.array([[0.1, 0.2, np.nan, 0.6]]))
     with pytest.raises(ParameterError):
-        Trajectory((Distribution(init.probs, quantum=1),))  # wrong start
-    high_d = Distribution(np.array([0.1, 0.2, 0.1, 0.6]))
-    low_d = Distribution(np.array([0.2, 0.2, 0.1, 0.5]), quantum=1)
-    Trajectory((Distribution(low_d.probs, quantum=0), Distribution(high_d.probs, quantum=1)))
+        Trajectory(np.array([[0.5, -0.1, 0.0, 0.6]]))
     with pytest.raises(ParameterError):
-        Trajectory((high_d, low_d))  # deadlock mass may not fall
+        Trajectory(np.array([[0.1, 0.2, 0.1, 0.6], [0.1, 0.2, 0.1, 0.6 + 1e-7]]))
+    low_d = [0.2, 0.2, 0.1, 0.5]
+    high_d = [0.1, 0.2, 0.1, 0.6]
+    traj = Trajectory(np.array([low_d, high_d]))
+    assert len(traj) == 2 and traj.m == 3
+    assert traj[-1].quantum == 1
+    with pytest.raises(ParameterError):
+        Trajectory(np.array([high_d, low_d]))  # deadlock mass may not fall
+
+
+def test_trajectory_rows_are_read_only_views():
+    traj = propagate(
+        Distribution.from_process_probs(PB5), build_matrix(SchemeParams(0.5, 0.5, 0.0, 0.0, 5)), 3
+    )
+    table = traj.to_array()
+    for n, row in enumerate(traj):
+        assert row.quantum == n
+        assert np.shares_memory(row.probs, table)
+        assert np.array_equal(row.probs, table[n])
+        with pytest.raises(ValueError):
+            row.probs[0] = 0.5
+    assert np.shares_memory(traj[2].probs, table)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +354,7 @@ def test_uniform_is_fixed_point_without_deadlock(m, probs):
     total = p + s + q
     params = SchemeParams(p / total, s / total, q / total, 0.0, m)
     uniform = Distribution(np.append(np.full(m, 1.0 / m), 0.0))
-    out = step(uniform, build_matrix(params))
+    out = propagate(uniform, build_matrix(params), 1)[1]
     assert np.max(np.abs(out.probs - uniform.probs)) <= ATOL
     # process block is doubly stochastic when r == 0
     block = build_matrix(params).entries[:m, :m]
