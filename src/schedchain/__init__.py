@@ -46,6 +46,7 @@ from .schemes import (
     SchemeId,
     SchemePreset,
     closed_form,
+    closed_form_table,
     closed_form_trajectory,
     make_preset,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "SchemePreset",
     "make_preset",
     "closed_form",
+    "closed_form_table",
     "closed_form_trajectory",
     "CENSORED",
     "SimConfig",

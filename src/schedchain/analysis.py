@@ -104,15 +104,13 @@ def metrics(trajectory: Trajectory, params: SchemeParams | None = None) -> Schem
     per-quantum deadlock hazard does not depend on the occupied slot; a
     single-row trajectory is treated as hazard-free.
     """
-    table = trajectory.to_array()
-    survival = 1.0 - table[:, -1]
+    survival = trajectory.survival()
 
-    # fairness is 1 once no conditional mass is left on the process slots
+    # fairness is 1 once no mass is left on the process slots; the Jain index
+    # is scale-invariant, so the slot masses serve as conditional shares
     alive = survival > 0.0
-    shares = table[:, :-1] / np.where(alive, survival, 1.0)[:, None]
-    live = alive & (shares.sum(axis=1) > 0.0)
     fairness = np.ones(len(trajectory))
-    fairness[live] = _jain(shares[live])
+    fairness[alive] = _jain(trajectory.rows[alive, :-1])
 
     if params is not None:
         hazard = params.r

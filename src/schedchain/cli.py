@@ -47,6 +47,7 @@ from .schemes import (
     CONSTRAINTS,
     ConstraintError,
     SchemeId,
+    closed_form_table,
     closed_form_trajectory,
     make_preset,
 )
@@ -140,7 +141,8 @@ def _canon_free(mapping: dict[str, float]) -> dict[str, float]:
 
 def _parse_pb(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     try:
-        values = tuple(float(token) for token in text.split(","))
+        # + 0.0 turns "-0" into +0.0, which CSV prints as "0", not "-0"
+        values = tuple(float(token) + 0.0 for token in text.split(","))
     except ValueError:
         parser.error(f"--pb must be comma-separated numbers, got {text!r}")
     if any(v < 0.0 for v in values):
@@ -316,11 +318,12 @@ def _exec_run(spec: RunSpec) -> Payload:
     params, init, preset = _resolve(spec)
     table = propagate(init, build_matrix(params), spec.quanta).to_array()
     if spec.verify:
-        if preset is None:
-            raise ParameterError("--verify needs --scheme (raw parameters have no closed form)")
-        analytic = closed_form_trajectory(preset, spec.quanta).to_array()
+        if preset is not None:
+            analytic = closed_form_trajectory(preset, spec.quanta).to_array()
+        else:
+            analytic = closed_form_table(params, init.processes, np.arange(spec.quanta + 1))
         gap = float(np.max(np.abs(table - analytic)))
-        if gap > VERIFY_TOL:
+        if not gap <= VERIFY_TOL:  # also when the closed form holds a NaN
             raise EngineDivergence(
                 f"matrix and closed-form engines diverge by {gap:.3e} (> {VERIFY_TOL:g})"
             )

@@ -242,8 +242,15 @@ class Trajectory:
         return self.rows[:, -1].copy()
 
     def survival(self) -> np.ndarray:
-        """Probability of still running (not deadlocked) at each quantum."""
-        return 1.0 - self.rows[:, -1]
+        """Probability of still running (not deadlocked) at each quantum.
+
+        The slot columns are summed rather than D subtracted from 1, so small
+        survival keeps its relative accuracy after D rounds to 1.  The sum is
+        divided by the row total, which is 1 up to rounding, so survival is
+        exactly 1 while D is 0.
+        """
+        slots = np.add.reduce(self.rows[:, :-1], axis=1)
+        return slots / (slots + self.rows[:, -1])
 
 
 def build_matrix(params: SchemeParams) -> TransitionMatrix:

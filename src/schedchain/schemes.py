@@ -15,17 +15,22 @@ III_B     p + s + r = 1            stay/advance mixture with a hazard
 IV        p = 1, start at P1       round robin pinned to the first slot
 ========  =======================  ==========================================
 
-All seven are corners of one chain with ``q = 0``, so ``closed_form`` needs
-one formula: after ``n`` quanta the slot mass is the initial mass rotated by
-the number of advances ``k``, mixed with binomial weights
-``C(n, k) p^k s^(n-k)``, and deadlock holds ``1 - (1 - r)^n``.  It evaluates
-each preset's quantum-``n`` distribution without stepping a matrix, which
-makes it an independent cross-check of :func:`schedchain.model.propagate`
-(and vice versa).
+All seven are corners of one chain, and ``closed_form_table`` evaluates that
+chain for any ``p, s, q, r``, retreat included.  One quantum applies the
+same circulant step to every slot, so after ``n`` quanta the slot mass is
+``IFFT(FFT(pb) · λ^n)`` over the step's eigenvalues
+``λ_k = s + p·ω^k + q·ω^-k`` (Gray, *Toeplitz and Circulant Matrices: A
+Review*, 2006), and deadlock holds ``1 - (1 - r)^n``.  A trajectory of ``N``
+quanta costs O(N·m log m).  FIFO, round robin and scheme IV make at most one
+kind of move, so their rows are ``pb`` rotated and scaled, exactly.  The
+closed form evaluates each quantum without stepping a matrix, which makes it an
+independent cross-check of :func:`schedchain.model.propagate` (and vice
+versa).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,6 +56,7 @@ __all__ = [
     "SchemePreset",
     "make_preset",
     "closed_form",
+    "closed_form_table",
     "closed_form_trajectory",
 ]
 
@@ -213,73 +219,115 @@ def make_preset(
     return SchemePreset(scheme, params, init)
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """``log(k!)`` for ``k = 0..n``, each entry from ``math.lgamma``.
+def _forward_reach(support: np.ndarray) -> np.ndarray:
+    """Advances a walk needs to reach each slot from the nearest slot in ``support``.
 
-    A running ``cumsum(log(k))`` would be cheaper but its rounding error grows
-    with ``n`` (about 1e-9 at ``n = 20000``); per-entry ``lgamma`` does not.
+    Slot ``j`` is ``(j - i) mod m`` advances from slot ``i``; a running maximum
+    over two laps of the ring finds the nearest support slot at or behind ``j``.
     """
-    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    m = support.size
+    laps = np.arange(2 * m)
+    last = np.maximum.accumulate(np.where(np.tile(support, 2), laps, -1))
+    return laps[m:] - last[m:]
 
 
-def _shift_weights(
-    n: int, p: float, s: float, m: int, log_fact: np.ndarray | None = None
-) -> np.ndarray:
-    """Probability of ``k mod m`` net forward shifts after ``n`` quanta.
+#: Rings up to this size transform by matrix products, which cost less than
+#: numpy's FFT call overhead (about 10 us a call) there; larger rings use the FFT.
+_MATRIX_DFT_SLOTS = 32
 
-    The per-count weights are binomial, ``C(n, k) p^k s^(n-k)``; counts are
-    folded onto the ring residues 0..m-1.  Their total is ``(p + s)^n``, the
-    mass still on the process slots.  ``log_fact`` holds ``log(k!)`` for at
-    least ``k = 0..n``; it is built here when omitted.
+
+@functools.cache
+def _dft_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only real matrices for the length-``m`` real DFT and its inverse.
+
+    ``(x @ fwd).view(complex)`` is ``rfft(x)``, and ``spec.view(float) @ inv``
+    is ``irfft(spec, m)`` for a half spectrum ``spec``.
     """
-    if p == 0.0 or s == 0.0:
-        # one count carries all the mass (k = 0 or k = n); log(0) would give nan
-        weights = np.zeros(m)
-        weights[0 if p == 0.0 else n % m] = (p + s) ** n
-        return weights
-    if log_fact is None:
-        log_fact = _log_factorials(n)
-    k = np.arange(n + 1)
-    log_comb = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
-    per_count = np.exp(log_comb + k * np.log(p) + (n - k) * np.log(s))
-    return np.bincount(k % m, weights=per_count, minlength=m)
+    half = m // 2 + 1
+    w = np.exp(-2j * np.pi / m * (np.outer(np.arange(m), np.arange(half)) % m))
+    weight = np.full(half, 2.0 / m)
+    weight[0] = 1.0 / m
+    if m % 2 == 0:
+        weight[-1] = 1.0 / m  # the Nyquist term has no mirror image
+    fwd, inv = w.view(float), (w * weight).view(float).T
+    fwd.flags.writeable = inv.flags.writeable = False
+    return fwd, inv
 
 
-def _closed_form(
-    preset: SchemePreset, n: int, log_fact: np.ndarray | None = None
-) -> np.ndarray:
-    """The unvalidated quantum-``n`` row ``(P1..Pm, D)``."""
-    params = preset.params
-    m = params.m
-    weights = _shift_weights(n, params.p, params.s, m, log_fact)
-    # row i of the gathered matrix is np.roll(pb, shifts[i]); zero weights drop out
-    shifts = weights.nonzero()[0]
-    rotations = preset.init.processes.take(np.arange(m) - shifts[:, None], mode="wrap")
-    proc = weights[shifts] @ rotations
+def closed_form_table(params: SchemeParams, pb: np.ndarray, ns) -> np.ndarray:
+    """The unvalidated rows ``(P1..Pm, D)`` after each quantum count in ``ns``.
+
+    One quantum maps the slot mass ``x`` to ``s·x + p·roll(x, 1) + q·roll(x, -1)``,
+    a circulant matrix, so after ``n`` quanta the slot mass is
+    ``IFFT(FFT(pb) · λ^n)`` with eigenvalues ``λ_k = s + p·ω^k + q·ω^-k``,
+    ``ω = exp(-2πi/m)``: O(m log m) per row, for any ``n``.  When at most one
+    of ``p``, ``s``, ``q`` is non-zero (FIFO, round robin, pure retreat, certain
+    deadlock) the slot mass is instead ``pb`` rotated by the net shift and
+    scaled by ``(p + s + q)^n``, exactly.  Otherwise round-off negatives
+    become +0.0, and slots the walk cannot have reached yet (further than
+    ``n`` steps from every slot ``pb`` occupies, in the directions it moves)
+    hold exactly 0.  Deadlock holds ``1 - (1 - r)^n``.
+    """
+    quanta = np.asarray(ns, dtype=float)  # exact below 2**53; rotations use the integers
+    p, s, q, r = params.p, params.s, params.q, params.r
+    m = pb.size
+    table = np.empty((quanta.size, m + 1))
+    proc = table[:, :m]
+    if (p > 0.0) + (s > 0.0) + (q > 0.0) <= 1:
+        scale = ((p + s + q) ** quanta)[:, None]
+        if p == q:  # FIFO, or nothing left on the ring
+            np.multiply(pb, scale, out=proc)
+        else:
+            # reduced mod m the indices lie in (-m, m); negative ones count from the end
+            shifts = (np.asarray(ns) if q == 0.0 else -np.asarray(ns)) % m
+            np.multiply(pb[np.arange(m) - shifts[:, None]], scale, out=proc)
+    else:
+        # λ is the DFT of the step's first column, so one transform gives both spectra
+        cols = np.zeros((2, m))
+        cols[0] = pb
+        cols[1, 0] = s
+        cols[1, 1] = p
+        cols[1, -1] += q  # on a two-slot ring the predecessor is the successor
+        if m <= _MATRIX_DFT_SLOTS:
+            fwd, inv = _dft_matrices(m)
+            pb_hat, eig = (cols @ fwd).view(complex)
+            spec = pb_hat * eig ** quanta[:, None]
+            # one product per row: a row does not depend on how many are computed with it
+            np.matmul(spec.view(float)[:, None], inv, out=proc[:, None])
+        else:
+            pb_hat, eig = np.fft.rfft(cols)
+            proc[:] = np.fft.irfft(pb_hat * eig ** quanta[:, None], m)
+        # round-off negatives and negative zeros (CSV would print "-0") become +0.0
+        np.copyto(proc, 0.0, where=proc <= 0.0)
+        if np.minimum.reduce(pb) == 0.0:
+            support = pb > 0.0
+            ahead = _forward_reach(support)
+            behind = _forward_reach(support[::-1])[::-1]
+            reach = ahead if q == 0.0 else behind if p == 0.0 else np.minimum(ahead, behind)
+            for i in np.flatnonzero(quanta < reach.max()):
+                proc[i, reach > quanta[i]] = 0.0
     # 1 - (1 - r)^n without cancellation; at r = 1, log1p(-1) = -inf gives nan at n = 0
-    r = params.r
-    dead = -math.expm1(n * math.log1p(-r)) if r < 1.0 else float(n > 0)
-    return np.concatenate((proc, [dead]))
+    table[:, m] = -np.expm1(quanta * math.log1p(-r)) if r < 1.0 else quanta > 0
+    return table
 
 
 def closed_form(preset: SchemePreset, n: int) -> Distribution:
     """Evaluate the preset's quantum-``n`` distribution analytically.
 
-    Every preset has ``q = 0``, so after ``n`` quanta the scheduler has made
-    ``k`` advances and ``n - k`` stays with binomial probability
-    ``C(n, k) p^k s^(n-k)``; the slot mass is the initial mass rotated by
-    ``k``, mixed over ``k``.  FIFO (``p = 0``) and round robin (``s = 0``)
-    are the single-term corners of that mixture.  Deadlock holds
-    ``1 - (1 - r)^n``, evaluated without cancellation so small masses keep
-    their relative accuracy.  Agrees with matrix propagation componentwise
-    (the dual-route invariant).
+    The slot mass is ``IFFT(FFT(pb) · λ^n)`` over the eigenvalues of the
+    one-quantum ring step (see :func:`closed_form_table`); FIFO, round robin
+    and scheme IV are exact rotations of ``pb``, scaled by the mass left on
+    the ring.  Deadlock holds ``1 - (1 - r)^n``, evaluated without
+    cancellation so small masses keep their relative accuracy.  Agrees with
+    matrix propagation componentwise (the dual-route invariant); round-off is
+    about ε times the row mass, so slot masses far below that read 0.  The
+    row is bit-identical to row ``n`` of :func:`closed_form_trajectory`.
     """
     n = _check_int(n, "quantum count", 0)
-    return Distribution(_closed_form(preset, n), quantum=n)
+    return Distribution(closed_form_table(preset.params, preset.pb, (n,))[0], quantum=n)
 
 
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:
     """All closed-form distributions for quanta ``0..n`` as a trajectory."""
     n = _check_int(n, "quantum count", 0)
-    log_fact = _log_factorials(n)
-    return Trajectory(np.array([_closed_form(preset, k, log_fact) for k in range(n + 1)]))
+    return Trajectory(closed_form_table(preset.params, preset.pb, np.arange(n + 1)))

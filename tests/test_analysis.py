@@ -100,6 +100,21 @@ def test_metrics_fairness_stays_in_range_when_shares_underflow():
     assert jain_fairness(np.array(PB5) * 1e-160) == pytest.approx(JAIN_PB5, abs=1e-12)
 
 
+def test_survival_keeps_relative_accuracy_after_deadlock_rounds_to_one():
+    # The hazard does not depend on the slot, so survival is 0.57^n exactly.
+    # D reads 1.0 from quantum 63 on; 1 - D would give 0 there.
+    params = SchemeParams(0.1, 0.4, 0.07, 0.43, 2)
+    traj = propagate(Distribution.from_process_probs((0.8, 0.2)), build_matrix(params), 100)
+    assert traj.deadlock_mass()[100] == 1.0
+    expected = 0.57 ** np.arange(101)
+    np.testing.assert_allclose(traj.survival(), expected, rtol=1e-10, atol=0.0)
+    mx = metrics(traj, params)
+    np.testing.assert_allclose(mx.survival, expected, rtol=1e-10, atol=0.0)
+    # fairness comes from the slot masses, not from a survival of zero
+    assert mx.fairness[100] == jain_fairness(traj.to_array()[100, :-1])
+    assert mx.efficiency_index[100] > 0.0
+
+
 def test_metrics_survival_never_increases():
     preset = make_preset(SchemeId.III_B, {"p": 0.3, "r": 0.2}, pb=PB5)
     mx = metrics(_trajectory(preset, 60), preset.params)

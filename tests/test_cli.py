@@ -92,6 +92,16 @@ def test_run_fifo_rows_are_constant(capsys):
     assert [r[0] for r in rows] == ["0", "1", "2"]
 
 
+@pytest.mark.parametrize("command", ["run", "closed-form"])
+def test_negative_zero_pb_entry_prints_as_zero(capsys, command):
+    code, out, _ = run_cli(
+        capsys, command, "--scheme", "I_B", "--r", "0.5", "--pb=-0,1", "--quanta", "2"
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row[1] for row in rows] == ["0", "0", "0"]
+
+
 def test_run_pinned_start_cycles_unit_mass(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--scheme", "IV", "--m", "5", "--quanta", "5"
@@ -234,12 +244,32 @@ def test_verify_passes_for_preset(capsys):
     assert out  # output still emitted
 
 
-def test_verify_needs_a_scheme(capsys):
-    code, _, err = run_cli(
-        capsys, "run", "--p", "1.0", "--pb", PB_ARG, "--verify"
-    )
-    assert code == 2
-    assert "closed form" in err
+RAW_RETREAT = ("run", "--p", "0.4", "--s", "0.3", "--q", "0.2", "--r", "0.1",
+               "--pb", "0.25,0.25,0.25,0.25")
+
+
+def test_verify_passes_for_raw_parameters(capsys):
+    code, out, err = run_cli(capsys, *RAW_RETREAT, "--verify")
+    assert code == 0
+    assert err == ""
+    # --verify only checks: the table is the one printed without it
+    assert out == run_cli(capsys, *RAW_RETREAT)[1]
+
+
+def test_verify_detects_divergence_for_raw_parameters(capsys, monkeypatch):
+    real = cli.closed_form_table
+
+    def skewed(params, pb, ns):
+        table = real(params, pb, ns)
+        table[1:, 0] += 1e-6
+        table[1:, 1] -= 1e-6
+        return table
+
+    monkeypatch.setattr(cli, "closed_form_table", skewed)
+    code, out, err = run_cli(capsys, *RAW_RETREAT, "--quanta", "3", "--verify")
+    assert code == 1
+    assert out == ""
+    assert "diverge" in err
 
 
 def test_verify_detects_divergence(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for scheme presets and their closed-form evaluators."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from schedchain import (
     SchemeParams,
     build_matrix,
     closed_form,
+    closed_form_table,
     closed_form_trajectory,
     make_preset,
     propagate,
@@ -167,6 +169,15 @@ def test_closed_form_trajectory_matches_pointwise():
         assert np.array_equal(traj[n].probs, closed_form(preset, n).probs)
 
 
+def test_closed_form_trajectory_rows_match_pointwise_on_a_wide_ring():
+    # rings above _MATRIX_DFT_SLOTS take the FFT; rows still match bit for bit
+    pb = np.random.default_rng(7).dirichlet(np.ones(40))
+    preset = make_preset(SchemeId.III_B, {"p": 0.417, "r": 0.166}, pb=pb)
+    traj = closed_form_trajectory(preset, 60)
+    for n in (0, 1, 2, 17, 59, 60):
+        assert np.array_equal(traj[n].probs, closed_form(preset, n).probs)
+
+
 def test_closed_form_rejects_negative_quantum():
     preset = make_preset(SchemeId.I_A, {}, pb=PB5)
     with pytest.raises(ParameterError):
@@ -293,3 +304,117 @@ def test_closed_form_agrees_with_matrix_engine(preset, n):
     traj = propagate(preset.init, build_matrix(preset.params), n)
     analytic = closed_form(preset, n)
     assert np.max(np.abs(analytic.probs - traj[n].probs)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the spectral kernel: exact corners, accuracy, unreached slots, speed
+
+
+def test_closed_form_trajectory_corners_are_exact():
+    fifo = make_preset(SchemeId.I_A, {}, pb=PB5)
+    rotating = make_preset(SchemeId.II_A, {}, pb=PB5)
+    pinned = make_preset(SchemeId.IV, m=5)
+    for preset, shift in ((fifo, 0), (rotating, 1), (pinned, 1)):
+        table = closed_form_trajectory(preset, 16).to_array()
+        for n, row in enumerate(table):
+            assert np.array_equal(row[:-1], np.roll(preset.pb, shift * n))
+            assert row[-1] == 0.0
+
+
+def test_closed_form_rotates_exactly_at_huge_quantum_counts():
+    forward = make_preset(SchemeId.II_A, {}, pb=PB5)
+    backward = SchemeParams(0.0, 0.0, 1.0, 0.0, 5)
+    # 10**10 + 3 would take seconds if the rotation were not reduced mod m
+    # first; 2**53 + 1 is not a float
+    for n in (10**10 + 3, 2**53 + 1):
+        start = time.perf_counter()
+        assert np.array_equal(closed_form(forward, n).processes, np.roll(PB5, n % 5))
+        assert time.perf_counter() - start < 1.0
+        table = closed_form_table(backward, np.array(PB5), (n,))
+        assert np.array_equal(table[0, :-1], np.roll(PB5, -n % 5))
+
+
+def test_closed_form_trajectory_long_horizon_matches_propagate():
+    preset = make_preset(SchemeId.III_B, {"p": 0.417, "r": 1e-4}, pb=PB5)
+    analytic = closed_form_trajectory(preset, 20000)
+    exact = propagate(preset.init, build_matrix(preset.params), 20000)
+    assert np.max(np.abs(analytic.to_array() - exact.to_array())) <= 1e-12
+    np.testing.assert_allclose(analytic.survival(), exact.survival(), rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(
+        analytic.deadlock_mass(), exact.deadlock_mass(), rtol=1e-10, atol=0.0
+    )
+
+
+def test_closed_form_trajectory_wide_ring_matches_propagate():
+    pb = np.random.default_rng(2000).dirichlet(np.ones(2000))
+    preset = make_preset(SchemeId.III_B, {"p": 0.417, "r": 0.166}, pb=pb)
+    analytic = closed_form_trajectory(preset, 200).to_array()
+    exact = propagate(preset.init, build_matrix(preset.params), 200).to_array()
+    assert np.max(np.abs(analytic - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [5, 50])
+@pytest.mark.parametrize("steps", [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.3, 0.4, 0.3)])
+def test_closed_form_unreached_slots_are_exactly_zero(m, steps):
+    # from P1 the walk needs k advances (or k retreats) to reach a slot k away;
+    # before that its mass is 0, not FFT round-off
+    p, s, q = steps
+    params = SchemeParams(p, s, q, 0.0, m)
+    init = Distribution.from_process_probs(np.eye(m)[0])
+    analytic = closed_form_table(params, init.processes, np.arange(m - 1))
+    exact = propagate(init, build_matrix(params), m - 2).to_array()
+    unreached = exact == 0.0
+    assert unreached[1:, :-1].any()
+    assert not analytic[unreached].any()
+    assert np.max(np.abs(analytic - exact)) <= 1e-15
+
+
+def _random_retreat_chain(rng):
+    m = int(rng.integers(2, 41))
+    p, s, q, r = rng.dirichlet(np.ones(4))
+    shape = rng.integers(4)
+    if shape == 1:
+        p = 0.0  # stay or retreat
+    elif shape == 2:
+        s = 0.0  # advance or retreat: the parity of the shift follows n
+    elif shape == 3:
+        p = s = 0.0  # pure retreat, a corner
+    total = p + s + q + r
+    pb = rng.dirichlet(np.ones(m))
+    pb[rng.random(m) < 0.3] = 0.0
+    if not pb.any():
+        pb[0] = 1.0
+    return SchemeParams(p / total, s / total, q / total, r / total, m), pb / pb.sum()
+
+
+def test_closed_form_table_matches_propagate_with_retreat():
+    rng = np.random.default_rng(20261018)
+    ns = np.arange(201)
+    for _ in range(200):
+        params, pb = _random_retreat_chain(rng)
+        init = Distribution.from_process_probs(pb)
+        analytic = closed_form_table(params, init.processes, ns)
+        exact = propagate(init, build_matrix(params), 200).to_array()
+        assert np.max(np.abs(analytic - exact)) <= 1e-12, params
+        # neither negative values nor negative zeros: CSV would print "-0"
+        assert not np.signbit(analytic).any(), params
+
+
+@pytest.mark.parametrize("scheme, free", [
+    (SchemeId.I_B, {"r": 0.166}),
+    (SchemeId.II_B, {"p": 0.834}),
+    (SchemeId.III_A, {"p": 0.5}),
+    (SchemeId.III_B, {"p": 0.417, "r": 0.166}),
+])
+@pytest.mark.parametrize("pb", [PB5, (1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5, 0.0)])
+def test_closed_form_cells_are_never_negative(scheme, free, pb):
+    table = closed_form_trajectory(make_preset(scheme, free, pb=pb), 300).to_array()
+    assert not np.signbit(table).any()
+
+
+def test_closed_form_trajectory_is_not_quadratic():
+    # a closed form that sums O(n) terms per row takes seconds here
+    preset = make_preset(SchemeId.III_B, {"p": 0.417, "r": 1e-4}, pb=PB5)
+    start = time.perf_counter()
+    closed_form_trajectory(preset, 20000)
+    assert time.perf_counter() - start < 1.0
