@@ -126,7 +126,10 @@ class RunSpec:
 
 @dataclass
 class Payload:
-    """What a subcommand produced: a table plus JSON-only extras."""
+    """What a subcommand produced: a table plus JSON-only extras.
+
+    Each column holds values of one type in every row.
+    """
 
     meta: dict
     columns: list[str]
@@ -423,15 +426,12 @@ def execute(spec: RunSpec) -> Payload:
     return executor(spec)
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
 def render_csv(payload: Payload) -> str:
     lines = [",".join(payload.columns)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in payload.rows)
+    if payload.rows:
+        # floats print with 12 significant digits, anything else as str()
+        template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in payload.rows[0])
+        lines.extend(template % tuple(row) for row in payload.rows)
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo engine: independent scheduler walks through the chain.
 
 Every walk owns its own Philox stream keyed by ``(seed, walk index)``, so a
-simulation is bit-reproducible and its result does not depend on chunk size,
+simulation is bit-reproducible and its result does not depend on tile size,
 worker count, or execution order.  Walk ``w`` consumes its draws in a fixed
 order: draw 0 picks the initial state by inverse CDF over ``(P1..Pm, D)``,
 and draw ``t`` decides quantum ``t`` by inverse CDF over the fixed category
@@ -9,6 +9,12 @@ order (advance, stay, retreat, deadlock).  That category order is part of
 the external contract.  Absorbed walks keep drawing (and discarding), so a
 walk's path is a pure function of ``(seed, walk, params, init)`` and extends
 unchanged under a longer horizon.
+
+Walks are swept in tiles of at most ``_TILE_BUDGET`` draws, with no Python
+loop over quanta, so :func:`simulate` and :func:`absorption_times` need
+their outputs plus a fixed few MB at any horizon.  Philox is counter based,
+so a walk longer than one tile resumes its stream where the previous time
+block ended and sees exactly the draws it would see in one piece.
 """
 
 from __future__ import annotations
@@ -42,8 +48,10 @@ CENSORED = -1
 #: Censored fraction above which the empirical mean is flagged as biased low.
 CENSOR_WARN_FRACTION = 1e-3
 
-# Walks evolved per vectorized block; any value yields identical results.
-_WALK_CHUNK = 8192
+#: Draws held in memory at once by the sweep: a tile of walks x quanta holds
+#: at most this many, and one bincount into ``counts`` covers at most this
+#: many cells.  Any value of at least 4 yields identical results.
+_TILE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,19 +88,25 @@ class OccupancyEstimate:
     """Per-quantum state occupancy counts over all walks.
 
     ``counts[t, j]`` is the number of walks in state ``j`` (columns ordered
-    P1..Pm, D) at quantum ``t``; every row sums to ``n_walks``.
+    P1..Pm, D) at quantum ``t``; every row sums to ``n_walks``.  A read-only
+    int64 array is kept as given, so :func:`simulate` hands over its result
+    without a second copy; anything else is copied.
     """
 
     counts: np.ndarray
     n_walks: int
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if counts.flags.writeable:
+            counts = counts.copy()
+            counts.flags.writeable = False
         if counts.ndim != 2:
             raise DimensionError("counts must be a (quanta + 1) x (m + 1) matrix")
-        if not np.all(counts.sum(axis=1) == self.n_walks):
-            raise ParameterError("every counts row must sum to n_walks")
-        counts.flags.writeable = False
+        # row sums in blocks, so a long horizon needs no horizon-sized temporary
+        for lo in range(0, counts.shape[0], _TILE_BUDGET):
+            if np.any(counts[lo : lo + _TILE_BUDGET].sum(axis=1) != self.n_walks):
+                raise ParameterError("every counts row must sum to n_walks")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -162,12 +176,15 @@ def _stream(seed: int, walk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | walk))
 
 
-def _fill_uniforms(seed: int, first_walk: int, out: np.ndarray) -> None:
-    """Fill ``out[i]`` with the uniform draws of walk ``first_walk + i``.
+def _fill_uniforms(seed: int, first_walk: int, out: np.ndarray, first_draw: int = 0) -> None:
+    """Fill ``out[i]`` with draws ``first_draw..`` of walk ``first_walk + i``.
 
     Rekeys a single Philox instance per row instead of constructing one,
     which is an order of magnitude faster and bit-identical to
-    ``_stream(seed, walk).random(out.shape[1])``.
+    ``_stream(seed, walk).random(first_draw + out.shape[1])[first_draw:]``.
+    Philox is counter based and makes draws in fours, so setting the
+    counter to ``k`` resumes a stream at draw ``4k`` without computing the
+    draws before it; ``first_draw`` must be a multiple of 4.
     """
     bg = np.random.Philox(key=0)
     gen = np.random.Generator(bg)
@@ -175,13 +192,13 @@ def _fill_uniforms(seed: int, first_walk: int, out: np.ndarray) -> None:
     key = state["state"]["key"]
     counter = state["state"]["counter"]
     key[1] = seed
-    n_draws = out.shape[1]
+    counter[:] = 0
+    counter[0] = first_draw // 4
     for i in range(out.shape[0]):
         key[0] = first_walk + i
-        counter[:] = 0
         state["buffer_pos"] = 4
         bg.state = state
-        out[i] = gen.random(n_draws)
+        gen.random(out=out[i])
 
 
 def _thresholds(params: SchemeParams) -> tuple[float, float, float]:
@@ -196,44 +213,101 @@ def _thresholds(params: SchemeParams) -> tuple[float, float, float]:
 def _sweep(
     config: SimConfig, keep_traces: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Evolve all walks; return (counts, first_hit, traces or None)."""
+    """Evolve all walks; return (counts, first_hit, traces or None).
+
+    Walks are swept in tiles of at most :data:`_TILE_BUDGET` draws with no
+    loop over quanta.  In a tile the ring slot is the start slot plus the
+    running sum of the moves (+1 advance, 0 stay, -1 retreat) mod ``m``, the
+    first hit is the first deadlock draw (draw 0 landing on D is a hit at
+    quantum 0), and from the first hit on the state is ``m``.  A tile holds
+    ``_TILE_BUDGET // (n_quanta + 1)`` whole walks; a walk longer than the
+    budget is cut into time blocks, one walk per tile, and its slot and first
+    hit carry from one block to the next.  Tiling never changes the draws a
+    walk sees, so every budget gives the same arrays.
+    """
     m = config.params.m
-    n_quanta = config.n_quanta
+    n_cols = config.n_quanta + 1
     c1, c2, c3 = _thresholds(config.params)
 
     cdf = np.cumsum(config.init.probs)
     cdf[-1] = 1.0  # guard against float shortfall; draws are in [0, 1)
 
-    counts = np.zeros((n_quanta + 1, m + 1), dtype=np.int64)
+    counts = np.zeros((n_cols, m + 1), dtype=np.int64)
     first_hit = np.full(config.n_walks, CENSORED, dtype=np.int64)
-    traces = (
-        np.empty((config.n_walks, n_quanta + 1), dtype=np.int64) if keep_traces else None
+    traces = np.empty((config.n_walks, n_cols), dtype=np.int64) if keep_traces else None
+
+    # A time block other than the last ends on a multiple of 4 draws, where
+    # a Philox stream resumes.  One bincount counts ``group`` quanta, so its
+    # output fits the budget too.
+    span = n_cols if n_cols <= _TILE_BUDGET else _TILE_BUDGET - _TILE_BUDGET % 4
+    tile_walks = min(config.n_walks, _TILE_BUDGET // span)
+    group = max(1, _TILE_BUDGET // (m + 1))
+    offsets = np.arange(min(span, group)) * (m + 1)
+    columns = np.arange(span)
+
+    # One workspace serves every tile, each buffer viewed as a contiguous
+    # (walks, draws) block; the draw buffer is reused as integer scratch
+    # once a tile's moves are read from it.
+    size = tile_walks * span
+    draws = np.empty(size)
+    workspace = (
+        draws,
+        np.empty(size, dtype=bool),
+        np.empty(size, dtype=bool),
+        np.empty(size, dtype=bool),
+        np.empty(size, dtype=np.int64),
+        draws.view(np.int64),
     )
 
-    for lo in range(0, config.n_walks, _WALK_CHUNK):
-        hi = min(lo + _WALK_CHUNK, config.n_walks)
-        draws = np.empty((hi - lo, n_quanta + 1))
-        _fill_uniforms(config.seed, lo, draws)
-
-        state = np.searchsorted(cdf, draws[:, 0], side="right")
-        counts[0] += np.bincount(state, minlength=m + 1)
+    for lo in range(0, config.n_walks, tile_walks):
+        hi = min(lo + tile_walks, config.n_walks)
         hits = first_hit[lo:hi]
-        hits[state == m] = 0
-        if traces is not None:
-            traces[lo:hi, 0] = state
-
-        for t in range(1, n_quanta + 1):
-            u = draws[:, t]
-            nxt = np.where(
-                u < c1,
-                (state + 1) % m,
-                np.where(u < c2, state, np.where(u < c3, (state - 1) % m, m)),
+        rows = np.arange(hi - lo)
+        for t0 in range(0, n_cols, span):
+            t1 = min(t0 + span, n_cols)
+            shape = (hi - lo, t1 - t0)
+            u, advance, back, dead, state, scratch = (
+                buf[: shape[0] * shape[1]].reshape(shape) for buf in workspace
             )
-            state = np.where(state == m, m, nxt)
-            counts[t] += np.bincount(state, minlength=m + 1)
-            hits[(hits == CENSORED) & (state == m)] = t
+            _fill_uniforms(config.seed, lo, u, t0)
+            if t0 == 0:
+                slot = np.searchsorted(cdf, u[:, 0], side="right")
+
+            np.less(u, c1, out=advance)
+            np.greater_equal(u, c2, out=back)
+            np.greater_equal(u, c3, out=dead)
+            moves = advance.view(np.int8)
+            moves -= back.view(np.int8)  # u >= c2 takes retreat and deadlock draws,
+            moves += dead.view(np.int8)  # so deadlock draws are added back
+            if t0 == 0:
+                moves[:, 0] = 0
+                dead[:, 0] = slot == m
+            np.cumsum(moves, axis=1, out=state)
+            state += slot[:, None]
+            # state %= m, spelled with floor division, which numpy vectorises
+            np.floor_divide(state, m, out=scratch)
+            scratch *= m
+            state -= scratch
+
+            # D from the first deadlock column on: from column 0 for walks
+            # absorbed in an earlier block, from none for walks still alive
+            hit_col = dead.argmax(axis=1)
+            alive = hits == CENSORED
+            new = alive & dead[rows, hit_col]
+            hits[new] = t0 + hit_col[new]
+            hit_col[alive & ~new] = shape[1]
+            hit_col[~alive] = 0
+            np.greater_equal(columns[: shape[1]], hit_col[:, None], out=back)
+            np.copyto(state, m, where=back)
+            slot = state[:, -1].copy()
+
             if traces is not None:
-                traces[lo:hi, t] = state
+                traces[lo:hi, t0:t1] = state
+            for g0 in range(0, shape[1], group):
+                g1 = min(g0 + group, shape[1])
+                cells = state[:, g0:g1] + offsets[: g1 - g0]
+                block = counts[t0 + g0 : t0 + g1]
+                block += np.bincount(cells.ravel(), minlength=block.size).reshape(block.shape)
 
     return counts, first_hit, traces
 
@@ -242,9 +316,10 @@ def simulate(config: SimConfig) -> OccupancyEstimate:
     """Estimate per-quantum state occupancy from ``n_walks`` seeded walks.
 
     Deterministic: the same config (including seed) always yields the same
-    counts, regardless of chunking or execution order.
+    counts, regardless of tiling or execution order.
     """
     counts, _, _ = _sweep(config)
+    counts.flags.writeable = False
     return OccupancyEstimate(counts, config.n_walks)
 
 
@@ -262,8 +337,9 @@ def absorption_times(config: SimConfig) -> AbsorptionSample:
 def walk_traces(config: SimConfig) -> np.ndarray:
     """Full per-walk state paths, ``(n_walks, n_quanta + 1)``, for debugging.
 
-    States are 0-based vector positions (``m`` is deadlock).  Memory grows
-    with ``n_walks * n_quanta``; intended for small diagnostic runs.
+    States are 0-based vector positions (``m`` is deadlock).  Unlike the
+    other views, the output itself grows with ``n_walks * n_quanta`` (8
+    bytes a cell); intended for small diagnostic runs.
     """
     _, _, traces = _sweep(config, keep_traces=True)
     return traces

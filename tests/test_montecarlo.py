@@ -1,5 +1,7 @@
 """Tests for the seeded Monte Carlo walk engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,10 +166,44 @@ def test_identical_configs_reproduce_bitwise():
 def test_chunk_size_does_not_change_results(monkeypatch):
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=1000, seed=13)
-    baseline = simulate(config)
-    monkeypatch.setattr(mc, "_WALK_CHUNK", 17)
-    chunked = simulate(config)
-    assert np.array_equal(baseline.counts, chunked.counts)
+    counts, first_hit, traces = mc._sweep(config, keep_traces=True)
+    # 16: one walk per tile; 10 (not a multiple of 4) and 7: time blocks of
+    # 8 and 4 draws, one quantum per bincount; 50: three walks per tile, two
+    # bincounts per tile; 2**20: every walk in one tile
+    for budget in (16, 10, 7, 50, 2 ** 20):
+        monkeypatch.setattr(mc, "_TILE_BUDGET", budget)
+        tiled = mc._sweep(config, keep_traces=True)
+        assert np.array_equal(tiled[0], counts), budget
+        assert np.array_equal(tiled[1], first_hit), budget
+        assert np.array_equal(tiled[2], traces), budget
+
+
+def _traced_peak(run, config):
+    run(config)  # the first call in a process allocates some one-off state
+    tracemalloc.start()
+    try:
+        result = run(config)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_walks, n_quanta", [(64, 100_000), (2, 1_000_000)])
+def test_memory_is_bounded_by_counts_plus_tiles(monkeypatch, n_walks, n_quanta):
+    preset = make_preset(SchemeId.III_B, {"p": 0.417, "r": 1e-4}, pb=PB5)
+    config = SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks, seed=31)
+    estimate, simulate_peak = _traced_peak(simulate, config)
+    sample, absorb_peak = _traced_peak(absorption_times, config)
+    # the counts output plus a budget of draws and a few budget-sized
+    # integer buffers; a whole-horizon draw buffer (51 MB for 64 x 100k)
+    # does not fit
+    bound = estimate.counts.nbytes + 8 * mc._TILE_BUDGET * 8
+    assert simulate_peak < bound
+    assert absorb_peak < bound
+    # time blocks give the same arrays as whole-horizon tiles
+    monkeypatch.setattr(mc, "_TILE_BUDGET", n_quanta + 1)
+    assert np.array_equal(simulate(config).counts, estimate.counts)
+    assert np.array_equal(absorption_times(config).first_hit, sample.first_hit)
 
 
 def test_longer_horizon_extends_the_same_paths():
@@ -183,6 +219,14 @@ def test_per_walk_streams_match_documented_keying():
     for i in range(4):
         reference = np.random.Generator(np.random.Philox(key=(123 << 64) | (50 + i)))
         assert np.array_equal(out[i], reference.random(9))
+
+
+def test_streams_resume_at_multiples_of_four_draws():
+    out = np.empty((3, 9))
+    mc._fill_uniforms(123, 50, out, first_draw=12)
+    for i in range(3):
+        reference = np.random.Generator(np.random.Philox(key=(123 << 64) | (50 + i)))
+        assert np.array_equal(out[i], reference.random(21)[12:])
 
 
 # ---------------------------------------------------------------------------
