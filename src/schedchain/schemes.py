@@ -18,11 +18,12 @@ IV        p = 1, start at P1       round robin pinned to the first slot
 All seven are corners of one chain, and ``closed_form_table`` evaluates that
 chain for any ``p, s, q, r``, retreat included.  One quantum applies the
 same circulant step to every slot, so after ``n`` quanta the slot mass is
-``IFFT(FFT(pb) · λ^n)`` over the step's eigenvalues
+``IFFT(FFT(pb) · (λ/λ_0)^n)`` over the step's eigenvalues
 ``λ_k = s + p·ω^k + q·ω^-k`` (Gray, *Toeplitz and Circulant Matrices: A
-Review*, 2006), and deadlock holds ``1 - (1 - r)^n``.  A trajectory of ``N``
-quanta costs O(N·m log m).  FIFO, round robin and scheme IV make at most one
-kind of move, so their rows are ``pb`` rotated and scaled, exactly.  The
+Review*, 2006), times the ring's survival ``(1 - r)^n``, and deadlock holds
+the rest, ``1 - (1 - r)^n``.  A trajectory of ``N`` quanta costs
+O(N·m log m).  FIFO, round robin and scheme IV make at most one kind of
+move, so their rows are ``pb`` rotated exactly, then scaled.  The
 closed form evaluates each quantum without stepping a matrix, which makes it an
 independent cross-check of :func:`schedchain.model.propagate` (and vice
 versa).
@@ -259,30 +260,42 @@ def closed_form_table(params: SchemeParams, pb: np.ndarray, ns) -> np.ndarray:
 
     One quantum maps the slot mass ``x`` to ``s·x + p·roll(x, 1) + q·roll(x, -1)``,
     a circulant matrix, so after ``n`` quanta the slot mass is
-    ``IFFT(FFT(pb) · λ^n)`` with eigenvalues ``λ_k = s + p·ω^k + q·ω^-k``,
-    ``ω = exp(-2πi/m)``: O(m log m) per row, for any ``n``.  When at most one
-    of ``p``, ``s``, ``q`` is non-zero (FIFO, round robin, pure retreat, certain
-    deadlock) the slot mass is instead ``pb`` rotated by the net shift and
-    scaled by ``(p + s + q)^n``, exactly.  Otherwise round-off negatives
-    become +0.0, and slots the walk cannot have reached yet (further than
-    ``n`` steps from every slot ``pb`` occupies, in the directions it moves)
-    hold exactly 0.  Deadlock holds ``1 - (1 - r)^n``.
+    ``IFFT(FFT(pb) · (λ/λ_0)^n) · (1 - r)^n`` with eigenvalues
+    ``λ_k = s + p·ω^k + q·ω^-k``, ``ω = exp(-2πi/m)``: O(m log m) per row, for
+    any ``n``.  When at most one of ``p``, ``s``, ``q`` is non-zero (FIFO, round
+    robin, pure retreat, certain deadlock) the slot mass is instead ``pb``
+    rotated by the net shift, exactly, and scaled by ``(1 - r)^n``.  Otherwise
+    round-off negatives become +0.0, and slots the walk cannot have reached yet
+    (further than ``n`` steps from every slot ``pb`` occupies, in the
+    directions it moves) hold exactly 0.  Deadlock holds ``1 - (1 - r)^n``: the
+    slots and D share one survival factor, so rows sum to 1 even where
+    ``p + s + q`` rounds to 1 while ``r > 0``.
     """
     quanta = np.asarray(ns, dtype=float)  # exact below 2**53; rotations use the integers
     p, s, q, r = params.p, params.s, params.q, params.r
     m = pb.size
     table = np.empty((quanta.size, m + 1))
     proc = table[:, :m]
+    # One survival factor: the ring keeps (1 - r)^n of the mass and D holds the
+    # rest, both from n·log1p(-r), so rows sum to 1 even where p + s + q rounds
+    # to 1 while r > 0.  At r = 1, log1p(-1) = -inf would give nan at n = 0.
+    if r < 1.0:
+        log_alive = quanta * math.log1p(-r)
+        alive, table[:, m] = np.exp(log_alive), -np.expm1(log_alive)
+    else:
+        table[:, m] = quanta > 0
+        alive = 1.0 - table[:, m]
     if (p > 0.0) + (s > 0.0) + (q > 0.0) <= 1:
-        scale = ((p + s + q) ** quanta)[:, None]
         if p == q:  # FIFO, or nothing left on the ring
-            np.multiply(pb, scale, out=proc)
+            np.multiply(pb, alive[:, None], out=proc)
         else:
             # reduced mod m the indices lie in (-m, m); negative ones count from the end
             shifts = (np.asarray(ns) if q == 0.0 else -np.asarray(ns)) % m
-            np.multiply(pb[np.arange(m) - shifts[:, None]], scale, out=proc)
+            np.multiply(pb[np.arange(m) - shifts[:, None]], alive[:, None], out=proc)
     else:
-        # λ is the DFT of the step's first column, so one transform gives both spectra
+        # λ is the DFT of the step's first column, so one transform gives both
+        # spectra; dividing by λ_0 = p + s + q leaves the walk on the ring, whose
+        # mass the survival factor sets
         cols = np.zeros((2, m))
         cols[0] = pb
         cols[1, 0] = s
@@ -291,12 +304,16 @@ def closed_form_table(params: SchemeParams, pb: np.ndarray, ns) -> np.ndarray:
         if m <= _MATRIX_DFT_SLOTS:
             fwd, inv = _dft_matrices(m)
             pb_hat, eig = (cols @ fwd).view(complex)
-            spec = pb_hat * eig ** quanta[:, None]
+        else:
+            pb_hat, eig = np.fft.rfft(cols)
+        # divided as floats: numpy's complex division would leave λ_0/λ_0 an ulp off 1
+        ring_eig = (eig.view(float) / eig.real[0]).view(complex)
+        spec = pb_hat * ring_eig ** quanta[:, None] * alive[:, None]
+        if m <= _MATRIX_DFT_SLOTS:
             # one product per row: a row does not depend on how many are computed with it
             np.matmul(spec.view(float)[:, None], inv, out=proc[:, None])
         else:
-            pb_hat, eig = np.fft.rfft(cols)
-            proc[:] = np.fft.irfft(pb_hat * eig ** quanta[:, None], m)
+            proc[:] = np.fft.irfft(spec, m)
         # round-off negatives and negative zeros (CSV would print "-0") become +0.0
         np.copyto(proc, 0.0, where=proc <= 0.0)
         if np.minimum.reduce(pb) == 0.0:
@@ -306,8 +323,6 @@ def closed_form_table(params: SchemeParams, pb: np.ndarray, ns) -> np.ndarray:
             reach = ahead if q == 0.0 else behind if p == 0.0 else np.minimum(ahead, behind)
             for i in np.flatnonzero(quanta < reach.max()):
                 proc[i, reach > quanta[i]] = 0.0
-    # 1 - (1 - r)^n without cancellation; at r = 1, log1p(-1) = -inf gives nan at n = 0
-    table[:, m] = -np.expm1(quanta * math.log1p(-r)) if r < 1.0 else quanta > 0
     return table
 
 
@@ -317,7 +332,7 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
     The slot mass is ``IFFT(FFT(pb) · λ^n)`` over the eigenvalues of the
     one-quantum ring step (see :func:`closed_form_table`); FIFO, round robin
     and scheme IV are exact rotations of ``pb``, scaled by the mass left on
-    the ring.  Deadlock holds ``1 - (1 - r)^n``, evaluated without
+    the ring, ``(1 - r)^n``.  Deadlock holds ``1 - (1 - r)^n``, evaluated without
     cancellation so small masses keep their relative accuracy.  Agrees with
     matrix propagation componentwise (the dual-route invariant); round-off is
     about ε times the row mass, so slot masses far below that read 0.  The
@@ -330,4 +345,4 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:
     """All closed-form distributions for quanta ``0..n`` as a trajectory."""
     n = _check_int(n, "quantum count", 0)
-    return Trajectory(closed_form_table(preset.params, preset.pb, np.arange(n + 1)))
+    return Trajectory._adopt(closed_form_table(preset.params, preset.pb, np.arange(n + 1)))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -304,6 +305,27 @@ def test_unallocatable_horizon_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("schedchain: error: ")
+
+
+def test_wide_ring_run_stays_in_bounded_memory(tmp_path):
+    # The dense (m + 1)² matrix of this ring would take 80 GB.  The child's
+    # address space is capped at 2 GB, so any attempt fails whatever the
+    # host's overcommit policy; the output rows themselves need about 0.6 GB.
+    cap = 2 * 2**30
+    target = tmp_path / "iv.csv"
+    child = subprocess.run(
+        [sys.executable, "-m", "schedchain", "run", "--scheme", "IV", "--m", "100000",
+         "--quanta", "100", "--output", str(target)],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert child.returncode == 0, child.stderr
+    lines = target.read_text().splitlines()
+    assert len(lines) == 102
+    for n in (0, 1, 100):  # round robin from P1: all mass on slot n + 1
+        cells = lines[n + 1].split(",")
+        assert len(cells) == 100_002 and cells[0] == str(n) and cells[n + 1] == "1"
+        assert cells[1:].count("0") == 100_000
 
 
 def test_output_file_and_io_failure(tmp_path, capsys):

@@ -254,6 +254,20 @@ def test_closed_form_certain_deadlock(scheme):
         assert np.max(np.abs(out.probs - exact[n].probs)) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "scheme, free, n",
+    [(SchemeId.III_B, {"p": 0.3, "r": 1e-20}, 2**62), (SchemeId.I_B, {"r": 1e-17}, 10**17)],
+)
+def test_closed_form_rows_sum_to_one_when_the_ring_factor_rounds_to_one(scheme, free, n):
+    # p + s + q rounds to 1 while r > 0: the slots must still lose what D gains
+    preset = make_preset(scheme, free, pb=(0.5, 0.2, 0.3))
+    out = closed_form(preset, n)
+    hazard = n * free["r"]  # n·log1p(-r) to double precision
+    assert out.deadlock == pytest.approx(-math.expm1(-hazard), rel=1e-12)
+    assert float(out.processes.sum()) == pytest.approx(math.exp(-hazard), rel=1e-12)
+    assert abs(float(out.probs.sum()) - 1.0) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # mixture stabilization
 
