@@ -41,6 +41,11 @@ __all__ = [
 
 _SCHEME_ORDER = {scheme: rank for rank, scheme in enumerate(SchemeId)}
 
+#: Final efficiencies this close, relative to the best one left, rank as
+#: tied.  The engines agree to about 1e-15, so schemes that are equal in
+#: exact arithmetic (I_B and II_B at one ``r``) differ only below it.
+_TIE_RTOL = 1e-12
+
 
 def _jain(shares: np.ndarray) -> np.ndarray:
     """Jain index of each row of non-negative shares with a positive total.
@@ -138,8 +143,11 @@ class ComparisonReport:
     """Side-by-side metrics for several presets, ranked at the horizon.
 
     ``ranking`` holds indices into ``entries`` ordered by descending
-    ``efficiency_index`` at the horizon; exact ties fall back to catalog
-    order (I_A through IV), then to input position.
+    ``efficiency_index`` at the horizon.  Efficiencies within a relative
+    1e-12 of the best one still unranked count as tied, and ties fall back
+    to catalog order (I_A through IV), then to input position.  Rounding
+    therefore never decides between schemes that are equal in exact
+    arithmetic, such as I_B and II_B at the same ``r``.
     """
 
     entries: tuple[SchemeComparison, ...]
@@ -180,9 +188,13 @@ def compare(presets: Iterable[SchemePreset], horizon: int) -> ComparisonReport:
             )
         )
 
-    final = [entry.metrics.efficiency_index[horizon] for entry in entries]
-    ranking = sorted(
-        range(len(entries)),
-        key=lambda i: (-final[i], _SCHEME_ORDER[entries[i].scheme], i),
-    )
+    final = [float(entry.metrics.efficiency_index[horizon]) for entry in entries]
+    remaining = list(range(len(entries)))
+    ranking = []
+    while remaining:
+        best = max(final[i] for i in remaining)
+        tied = [i for i in remaining if best - final[i] <= _TIE_RTOL * abs(best)]
+        pick = min(tied, key=lambda i: (_SCHEME_ORDER[entries[i].scheme], i))
+        ranking.append(pick)
+        remaining.remove(pick)
     return ComparisonReport(tuple(entries), tuple(ranking), horizon)

@@ -384,15 +384,17 @@ def _exec_compare(spec: RunSpec) -> Payload:
     schemes_json = []
     for entry in report.entries:
         mx = entry.metrics
-        for n in range(spec.quanta + 1):
-            rows.append(
-                [entry.scheme.value, n, float(mx.survival[n]), float(mx.fairness[n]),
-                 float(mx.efficiency_index[n])]
+        scheme = entry.scheme.value
+        rows.extend(
+            [scheme, n, survival, fairness, efficiency]
+            for n, (survival, fairness, efficiency) in enumerate(
+                zip(mx.survival.tolist(), mx.fairness.tolist(), mx.efficiency_index.tolist())
             )
+        )
         expected = mx.expected_absorption
         schemes_json.append(
             {
-                "scheme": entry.scheme.value,
+                "scheme": scheme,
                 "params": {name: getattr(entry.params, name) for name in _PARAM_NAMES},
                 "m": entry.params.m,
                 "expected_absorption": None if np.isinf(expected) else expected,

@@ -14,11 +14,17 @@ Walks are swept in tiles of at most ``_TILE_BUDGET`` draws, with no Python
 loop over quanta, so :func:`simulate` and :func:`absorption_times` need
 their outputs plus a fixed few MB at any horizon.  Philox is counter based,
 so a walk longer than one tile resumes its stream where the previous time
-block ended and sees exactly the draws it would see in one piece.
+block ended and sees exactly the draws it would see in one piece.  For the
+same reason tiles are independent: on a host with more than one CPU, long
+tiles are shared by the calling thread and one helper thread, and the worker
+count changes no draw and no output bit (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +54,24 @@ CENSORED = -1
 #: Censored fraction above which the empirical mean is flagged as biased low.
 CENSOR_WARN_FRACTION = 1e-3
 
-#: Draws held in memory at once by the sweep: a tile of walks x quanta holds
-#: at most this many, and one bincount into ``counts`` covers at most this
-#: many cells.  Any value of at least 4 yields identical results.
+#: Draws held in memory at once by one worker of the sweep: a tile of walks x
+#: quanta holds at most this many (a time block of two workers half as many),
+#: and one bincount into ``counts`` covers at most this many cells.  Any value
+#: of at least 4 yields identical results.
 _TILE_BUDGET = 1 << 16
+
+#: Shortest tile, in quanta, that two workers share.  A worker rekeys the
+#: Philox stream of every walk holding the GIL, so on tiles of shorter walks
+#: the two workers mostly wait for each other: measured on 2 vCPUs, two
+#: workers were slower at 1600 quanta and faster from 2000 on.
+_PARALLEL_SPAN = 2000
+
+
+def _spare_cpu() -> bool:
+    """True when this process may run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,16 +236,28 @@ def _sweep(
     """Evolve all walks; return (counts, first_hit, traces or None).
 
     Walks are swept in tiles of at most :data:`_TILE_BUDGET` draws with no
-    loop over quanta.  In a tile the ring slot is the start slot plus the
-    running sum of the moves (+1 advance, 0 stay, -1 retreat) mod ``m``, the
-    first hit is the first deadlock draw (draw 0 landing on D is a hit at
-    quantum 0), and from the first hit on the state is ``m``.  A tile holds
-    ``_TILE_BUDGET // (n_quanta + 1)`` whole walks; a walk longer than the
-    budget is cut into time blocks, one walk per tile, and its slot and first
-    hit carry from one block to the next.  Tiling never changes the draws a
-    walk sees, so every budget gives the same arrays.
+    loop over quanta.  A tile holds ``_TILE_BUDGET // (n_quanta + 1)`` whole
+    walks; a walk longer than the budget is cut into time blocks, one walk
+    per tile, and its slot and first hit carry from one block to the next.
+
+    A tile is reduced time-major.  Its moves (+1 advance, 0 stay, -1 retreat)
+    are copied transposed into a ``(quanta, walks)`` position table, the start
+    slot is added to the first row, and a running sum down the quanta gives
+    each walk's unwrapped position.  Every walk dead by the end of the tile
+    gets a jump larger than the ring table at its first deadlock column
+    (column 0 if it died in an earlier block), so one lookup in that table
+    maps positions mod ``m`` and every quantum from the first hit on to D.
+
+    On a host with more than one CPU, tiles of at least
+    :data:`_PARALLEL_SPAN` quanta are shared by the calling thread and one
+    helper thread, alternately; a walk's time blocks stay with one worker.
+    Workers write disjoint walks of ``first_hit`` and the traces and add
+    their tallies to ``counts`` under a lock, and each keeps to half the
+    budget in time blocks.  Neither tiling nor the worker count changes the
+    draws a walk sees, so every budget gives the same arrays.
     """
     m = config.params.m
+    n_walks = config.n_walks
     n_cols = config.n_quanta + 1
     c1, c2, c3 = _thresholds(config.params)
 
@@ -233,82 +265,112 @@ def _sweep(
     cdf[-1] = 1.0  # guard against float shortfall; draws are in [0, 1)
 
     counts = np.zeros((n_cols, m + 1), dtype=np.int64)
-    first_hit = np.full(config.n_walks, CENSORED, dtype=np.int64)
-    traces = np.empty((config.n_walks, n_cols), dtype=np.int64) if keep_traces else None
+    first_hit = np.full(n_walks, CENSORED, dtype=np.int64)
+    traces = np.empty((n_walks, n_cols), dtype=np.int64) if keep_traces else None
 
+    whole = n_cols <= _TILE_BUDGET
+    tile_walks = min(n_walks, _TILE_BUDGET // n_cols) if whole else 1
+    workers = 2 if (
+        tile_walks < n_walks and min(n_cols, _TILE_BUDGET) >= _PARALLEL_SPAN and _spare_cpu()
+    ) else 1
     # A time block other than the last ends on a multiple of 4 draws, where
     # a Philox stream resumes.  One bincount counts ``group`` quanta, so its
     # output fits the budget too.
-    span = n_cols if n_cols <= _TILE_BUDGET else _TILE_BUDGET - _TILE_BUDGET % 4
-    tile_walks = min(config.n_walks, _TILE_BUDGET // span)
+    block = _TILE_BUDGET // workers
+    span = n_cols if whole else max(4, block - block % 4)
     group = max(1, _TILE_BUDGET // (m + 1))
-    offsets = np.arange(min(span, group)) * (m + 1)
-    columns = np.arange(span)
+    offsets = np.arange(min(span, group))[:, None] * (m + 1)
+    # A position is slot + span + the running sum of at most span moves, so
+    # it lies in [0, 2 span + m); the ring maps it to (position - span) mod m,
+    # and any position past its end, such as one after a jump, to D.
+    ring = np.append(np.arange(-span, span + m) % m, m)
+    jump = ring.size
 
-    # One workspace serves every tile, each buffer viewed as a contiguous
-    # (walks, draws) block; the draw buffer is reused as integer scratch
-    # once a tile's moves are read from it.
-    size = tile_walks * span
-    draws = np.empty(size)
-    workspace = (
-        draws,
-        np.empty(size, dtype=bool),
-        np.empty(size, dtype=bool),
-        np.empty(size, dtype=bool),
-        np.empty(size, dtype=np.int64),
-        draws.view(np.int64),
-    )
+    starts = range(0, n_walks, tile_walks)
+    lock = threading.Lock()
+    stop = threading.Event()
 
-    for lo in range(0, config.n_walks, tile_walks):
-        hi = min(lo + tile_walks, config.n_walks)
-        hits = first_hit[lo:hi]
-        rows = np.arange(hi - lo)
-        for t0 in range(0, n_cols, span):
-            t1 = min(t0 + span, n_cols)
-            shape = (hi - lo, t1 - t0)
-            u, advance, back, dead, state, scratch = (
-                buf[: shape[0] * shape[1]].reshape(shape) for buf in workspace
-            )
-            _fill_uniforms(config.seed, lo, u, t0)
-            if t0 == 0:
-                slot = np.searchsorted(cdf, u[:, 0], side="right")
+    def sweep_tiles(first: int) -> None:
+        # One workspace serves every tile of this worker; the draw buffer
+        # becomes the position table once a tile's moves are read from it.
+        size = tile_walks * span
+        draws = np.empty(size)
+        advance, back, dead = (np.empty(size, dtype=bool) for _ in range(3))
+        for lo in starts[first::workers]:
+            if stop.is_set():
+                return
+            hi = min(lo + tile_walks, n_walks)
+            hits = first_hit[lo:hi]
+            rows = np.arange(hi - lo)
+            for t0 in range(0, n_cols, span):
+                t1 = min(t0 + span, n_cols)
+                shape = (hi - lo, t1 - t0)
+                n = shape[0] * shape[1]
+                u = draws[:n].reshape(shape)
+                adv, bk, dd = (buf[:n].reshape(shape) for buf in (advance, back, dead))
+                _fill_uniforms(config.seed, lo, u, t0)
+                if t0 == 0:
+                    slot = np.searchsorted(cdf, u[:, 0], side="right")
 
-            np.less(u, c1, out=advance)
-            np.greater_equal(u, c2, out=back)
-            np.greater_equal(u, c3, out=dead)
-            moves = advance.view(np.int8)
-            moves -= back.view(np.int8)  # u >= c2 takes retreat and deadlock draws,
-            moves += dead.view(np.int8)  # so deadlock draws are added back
-            if t0 == 0:
-                moves[:, 0] = 0
-                dead[:, 0] = slot == m
-            np.cumsum(moves, axis=1, out=state)
-            state += slot[:, None]
-            # state %= m, spelled with floor division, which numpy vectorises
-            np.floor_divide(state, m, out=scratch)
-            scratch *= m
-            state -= scratch
+                np.less(u, c1, out=adv)
+                np.greater_equal(u, c2, out=bk)
+                np.greater_equal(u, c3, out=dd)
+                moves = adv.view(np.int8)
+                moves -= bk.view(np.int8)  # u >= c2 takes retreat and deadlock draws,
+                moves += dd.view(np.int8)  # so deadlock draws are added back
+                if t0 == 0:
+                    moves[:, 0] = 0
+                    dd[:, 0] = slot == m
 
-            # D from the first deadlock column on: from column 0 for walks
-            # absorbed in an earlier block, from none for walks still alive
-            hit_col = dead.argmax(axis=1)
-            alive = hits == CENSORED
-            new = alive & dead[rows, hit_col]
-            hits[new] = t0 + hit_col[new]
-            hit_col[alive & ~new] = shape[1]
-            hit_col[~alive] = 0
-            np.greater_equal(columns[: shape[1]], hit_col[:, None], out=back)
-            np.copyto(state, m, where=back)
-            slot = state[:, -1].copy()
+                # first hits: the first deadlock column of a walk still alive
+                hit_col = dd.argmax(axis=1)
+                alive = hits == CENSORED
+                new = alive & dd[rows, hit_col]
+                hits[new] = t0 + hit_col[new]
+                hit_col[~alive] = 0
+                jumped = np.flatnonzero(new | ~alive)
 
-            if traces is not None:
-                traces[lo:hi, t0:t1] = state
-            for g0 in range(0, shape[1], group):
-                g1 = min(g0 + group, shape[1])
-                cells = state[:, g0:g1] + offsets[: g1 - g0]
-                block = counts[t0 + g0 : t0 + g1]
-                block += np.bincount(cells.ravel(), minlength=block.size).reshape(block.shape)
+                pos = draws.view(np.int64)[:n].reshape(shape[::-1])
+                pos[...] = moves.T
+                pos[0] += slot + span
+                pos[hit_col[jumped], jumped] += jump
+                np.add.accumulate(pos, axis=0, out=pos)
+                state = np.take(ring, pos, out=pos, mode="clip")
+                slot = state[-1].copy()
 
+                if traces is not None:
+                    traces[lo:hi, t0:t1] = state.T
+                for g0 in range(0, shape[1], group):
+                    g1 = min(g0 + group, shape[1])
+                    cells = state[g0:g1]
+                    cells += offsets[: g1 - g0]
+                    tally = np.bincount(cells.ravel(), minlength=(g1 - g0) * (m + 1))
+                    with lock:
+                        counts[t0 + g0 : t0 + g1] += tally.reshape(g1 - g0, m + 1)
+
+    if workers == 1:
+        sweep_tiles(0)
+        return counts, first_hit, traces
+
+    errors: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            sweep_tiles(1)
+        except BaseException as exc:  # handed to the calling thread
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper, name="schedchain-sweep", daemon=True)
+    thread.start()
+    try:
+        sweep_tiles(0)
+    except BaseException:
+        stop.set()  # the helper stops at its next tile
+        raise
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
     return counts, first_hit, traces
 
 

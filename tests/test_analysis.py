@@ -201,6 +201,27 @@ def test_compare_ties_fall_back_to_catalog_order():
     assert report.ranked_schemes == (SchemeId.I_A, SchemeId.II_A)
 
 
+def _hazard_pair_cases():
+    yield 3, 0.166, 50, (0.0857332143268004, 0.5553958146159783, 0.3588709710572213)
+    rng = np.random.default_rng(20261018)
+    for _ in range(40):
+        m = int(rng.choice([3, 5, 8]))
+        r = float(rng.choice([0.166, 0.01, 1e-4]))
+        yield m, r, int(rng.choice([50, 200])), rng.dirichlet(np.ones(m))
+
+
+def test_compare_ties_within_rounding_fall_back_to_catalog_order():
+    # I_B keeps the slot vector and II_B rotates it, so at one r both have
+    # the same survival and fairness in exact arithmetic; their computed
+    # efficiencies differ in the last bits, which must not decide the order
+    for m, r, horizon, pb in _hazard_pair_cases():
+        pair = [make_preset(scheme, {"r": r}, pb=pb) for scheme in (SchemeId.II_B, SchemeId.I_B)]
+        report = compare(pair, horizon)
+        final = [entry.metrics.efficiency_index[-1] for entry in report.entries]
+        assert abs(final[0] - final[1]) <= 1e-13 * final[0], (m, r, horizon)
+        assert report.ranked_schemes == (SchemeId.I_B, SchemeId.II_B), (m, r, horizon, pb)
+
+
 def test_entry_lookup_by_scheme():
     report = compare([make_preset(SchemeId.I_A, {}, pb=PB5)], 5)
     assert report.entry_for(SchemeId.I_A).scheme is SchemeId.I_A

@@ -1,5 +1,7 @@
 """Tests for the seeded Monte Carlo walk engine."""
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -176,6 +178,77 @@ def test_chunk_size_does_not_change_results(monkeypatch):
         assert np.array_equal(tiled[0], counts), budget
         assert np.array_equal(tiled[1], first_hit), budget
         assert np.array_equal(tiled[2], traces), budget
+
+
+def _two_workers(monkeypatch, on: bool):
+    """Open the sweep's two-worker gate for any tile, or shut it."""
+    monkeypatch.setattr(mc, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(mc, "_PARALLEL_SPAN", 1 if on else 2 ** 62)
+
+
+@pytest.mark.parametrize(
+    "budget, n_walks, n_quanta",
+    [
+        # time blocks of 4 draws (7, 10), one walk per tile (16), three walks
+        # per tile (50), one tile and so one worker (2**20)
+        (7, 300, 15),
+        (10, 300, 15),
+        (16, 300, 15),
+        (50, 300, 15),
+        (2 ** 20, 300, 15),
+        # default budget: three tiles of whole walks, then walks longer than
+        # the budget, whose time blocks two workers halve
+        (mc._TILE_BUDGET, 9000, 15),
+        (mc._TILE_BUDGET, 3, 70_000),
+    ],
+)
+def test_worker_count_does_not_change_results(monkeypatch, budget, n_walks, n_quanta):
+    preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2 if n_quanta < 100 else 1e-4}, pb=PB5)
+    config = SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks, seed=37)
+    monkeypatch.setattr(mc, "_TILE_BUDGET", budget)
+    fill = mc._fill_uniforms
+    fillers = set()
+
+    def recording_fill(*args, **kwargs):
+        ident = threading.get_ident()
+        if ident not in fillers and ident != threading.main_thread().ident:
+            time.sleep(0.05)  # the helper starts late: it must still sweep its tiles
+        fillers.add(ident)
+        fill(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "_fill_uniforms", recording_fill)
+    _two_workers(monkeypatch, False)
+    one = mc._sweep(config, keep_traces=True)
+    assert len(fillers) == 1
+    fillers.clear()
+    _two_workers(monkeypatch, True)
+    two = mc._sweep(config, keep_traces=True)
+    several_tiles = budget < (n_quanta + 1) * n_walks
+    assert len(fillers) == (2 if several_tiles else 1)
+    for name, a, b in zip(("counts", "first_hit", "traces"), one, two):
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("bad_walk", [0, 4], ids=["caller-tile", "helper-tile"])
+def test_worker_error_reaches_the_caller_and_threads_are_joined(monkeypatch, bad_walk):
+    # three walks a tile: walk 0 is in the caller's first tile, walk 4 in
+    # the helper's
+    monkeypatch.setattr(mc, "_TILE_BUDGET", 48)
+    _two_workers(monkeypatch, True)
+    fill = mc._fill_uniforms
+
+    def failing_fill(seed, first_walk, out, first_draw=0):
+        if first_walk <= bad_walk < first_walk + out.shape[0]:
+            raise RuntimeError(f"walk {bad_walk} failed")
+        fill(seed, first_walk, out, first_draw)
+
+    monkeypatch.setattr(mc, "_fill_uniforms", failing_fill)
+    preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
+    config = SimConfig.from_preset(preset, n_quanta=15, n_walks=60, seed=41)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"walk {bad_walk} failed"):
+        simulate(config)
+    assert threading.active_count() == before
 
 
 def _traced_peak(run, config):
