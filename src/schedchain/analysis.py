@@ -48,29 +48,39 @@ _TIE_RTOL = 1e-12
 
 
 def _jain(shares: np.ndarray) -> np.ndarray:
-    """Jain index of each row of non-negative shares with a positive total.
+    """Jain index of each row of finite non-negative shares with a positive total.
 
-    Rows whose sum of squares leaves the normal float range are first scaled
-    by their largest share (the index is scale-invariant).
+    Rows whose sum of squares would leave the normal float range are first
+    scaled by their largest share (the index is scale-invariant).  A row of
+    ``k`` shares sums to at most ``k`` times its largest, so a largest share
+    above ``sqrt(max) / k`` is taken as overflow without squaring it.  Rows of
+    shares up to 1 never overflow, and keep their exact arithmetic.
     """
-    tiny = (shares * shares).sum(axis=-1, keepdims=True) < np.finfo(float).tiny
-    shares = np.where(tiny, shares / shares.max(axis=-1, keepdims=True), shares)
+    k = shares.shape[-1]
+    top = shares.max(axis=-1, keepdims=True)
+    # rows that could overflow read as underflowing ones, and are scaled with them
+    fits = np.where(top <= math.sqrt(np.finfo(float).max) / k, shares, 0.0)
+    scale = (fits * fits).sum(axis=-1, keepdims=True) < np.finfo(float).tiny
+    if scale.any():
+        shares = np.where(scale, shares / top, shares)
     total = shares.sum(axis=-1)
-    return total * total / (shares.shape[-1] * (shares * shares).sum(axis=-1))
+    return total * total / (k * (shares * shares).sum(axis=-1))
 
 
 def jain_fairness(shares) -> float:
-    """Jain index ``(sum c)^2 / (k * sum c^2)`` of non-negative shares.
+    """Jain index ``(sum c)^2 / (k * sum c^2)`` of finite non-negative shares.
 
     Equals 1 for perfectly equal shares and ``1/k`` when a single share
-    monopolizes everything.  Scale-invariant.
+    monopolizes everything.  Scale-invariant, at any finite scale.
     """
     c = np.asarray(shares, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise DimensionError("shares must be a non-empty vector")
+    if not np.isfinite(c).all():
+        raise ParameterError("shares must be finite")
     if float(c.min()) < 0.0:
         raise ParameterError("shares must be non-negative")
-    if float(c.sum()) <= 0.0:
+    if float(c.max()) <= 0.0:
         raise ParameterError("at least one share must be positive")
     return float(_jain(c))
 
@@ -94,10 +104,6 @@ class SchemeMetrics:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @property
-    def horizon(self) -> int:
-        return self.survival.size - 1
 
 
 def metrics(trajectory: Trajectory, params: SchemeParams | None = None) -> SchemeMetrics:
@@ -157,13 +163,6 @@ class ComparisonReport:
     @property
     def ranked_schemes(self) -> tuple[SchemeId, ...]:
         return tuple(self.entries[i].scheme for i in self.ranking)
-
-    def entry_for(self, scheme: SchemeId) -> SchemeComparison:
-        """The first entry carrying the given scheme id."""
-        for entry in self.entries:
-            if entry.scheme is scheme:
-                return entry
-        raise KeyError(scheme)
 
 
 def compare(presets: Iterable[SchemePreset], horizon: int) -> ComparisonReport:

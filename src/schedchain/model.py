@@ -139,10 +139,6 @@ class SchemeParams:
         for name, value in zip(("p", "s", "q", "r"), probs):
             object.__setattr__(self, name, float(value))
 
-    @property
-    def deadlock_free(self) -> bool:
-        return self.r == 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -272,9 +268,6 @@ class Trajectory:
     def to_array(self) -> np.ndarray:
         """The read-only ``(N + 1) x (m + 1)`` table itself."""
         return self.rows
-
-    def deadlock_mass(self) -> np.ndarray:
-        return self.rows[:, -1].copy()
 
     def survival(self) -> np.ndarray:
         """Probability of still running (not deadlocked) at each quantum.

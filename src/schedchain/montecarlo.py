@@ -134,10 +134,6 @@ class OccupancyEstimate:
         return self.counts.shape[0] - 1
 
     @property
-    def m(self) -> int:
-        return self.counts.shape[1] - 1
-
-    @property
     def frequencies(self) -> np.ndarray:
         """Counts normalized to per-quantum relative frequencies."""
         return self.counts / float(self.n_walks)
@@ -191,17 +187,13 @@ class AbsorptionSample:
         return self.censored_fraction > CENSOR_WARN_FRACTION
 
 
-def _stream(seed: int, walk: int) -> np.random.Generator:
-    """The Philox stream owned by one walk: 128-bit key = (seed, walk)."""
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | walk))
-
-
 def _fill_uniforms(seed: int, first_walk: int, out: np.ndarray, first_draw: int = 0) -> None:
     """Fill ``out[i]`` with draws ``first_draw..`` of walk ``first_walk + i``.
 
     Rekeys a single Philox instance per row instead of constructing one,
-    which is an order of magnitude faster and bit-identical to
-    ``_stream(seed, walk).random(first_draw + out.shape[1])[first_draw:]``.
+    which is an order of magnitude faster and bit-identical to the walk's
+    own stream, ``Generator(Philox(key=(seed << 64) | walk))``, drawing
+    ``random(first_draw + out.shape[1])[first_draw:]``.
     Philox is counter based and makes draws in fours, so setting the
     counter to ``k`` resumes a stream at draw ``4k`` without computing the
     draws before it; ``first_draw`` must be a multiple of 4.

@@ -255,8 +255,12 @@ def _dft_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return fwd, inv
 
 
-def closed_form_table(params: SchemeParams, pb: np.ndarray, ns) -> np.ndarray:
+def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
     """The unvalidated rows ``(P1..Pm, D)`` after each quantum count in ``ns``.
+
+    ``pb`` is the initial slot mass, array-like of length ``params.m``
+    (:class:`DimensionError` otherwise); it is not checked to be a probability
+    vector.  Every count in ``ns`` must be non-negative (:class:`ParameterError`).
 
     One quantum maps the slot mass ``x`` to ``s·x + p·roll(x, 1) + q·roll(x, -1)``,
     a circulant matrix, so after ``n`` quanta the slot mass is
@@ -272,8 +276,13 @@ def closed_form_table(params: SchemeParams, pb: np.ndarray, ns) -> np.ndarray:
     ``p + s + q`` rounds to 1 while ``r > 0``.
     """
     quanta = np.asarray(ns, dtype=float)  # exact below 2**53; rotations use the integers
+    if (quanta < 0.0).any():
+        raise ParameterError(f"quantum counts must be >= 0, got {quanta.min():g}")
     p, s, q, r = params.p, params.s, params.q, params.r
-    m = pb.size
+    m = params.m
+    pb = np.asarray(pb, dtype=float)
+    if pb.shape != (m,):
+        raise DimensionError(f"pb must hold m={m} slot masses, got shape {pb.shape}")
     table = np.empty((quanta.size, m + 1))
     proc = table[:, :m]
     # One survival factor: the ring keeps (1 - r)^n of the mass and D holds the

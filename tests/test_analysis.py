@@ -1,6 +1,7 @@
 """Tests for trajectory metrics and scheme comparison."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,12 @@ def test_jain_reference_vector():
 
 def test_jain_is_scale_invariant():
     assert jain_fairness(np.array(PB5) * 7.3) == pytest.approx(JAIN_PB5, abs=1e-12)
+    # shares whose squares, or k times their sum, overflow are scaled first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jain_fairness(np.array(PB5) * 1e200) == pytest.approx(JAIN_PB5, abs=1e-12)
+        assert jain_fairness([1e154] * 1000) == pytest.approx(1.0, abs=1e-12)
+        assert jain_fairness([1e308, 1e308]) == 1.0
 
 
 def test_jain_rejects_bad_shares():
@@ -52,6 +59,9 @@ def test_jain_rejects_bad_shares():
         jain_fairness([0.0, 0.0])
     with pytest.raises(ParameterError):
         jain_fairness([0.5, -0.5])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            jain_fairness([bad, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +115,7 @@ def test_survival_keeps_relative_accuracy_after_deadlock_rounds_to_one():
     # D reads 1.0 from quantum 63 on; 1 - D would give 0 there.
     params = SchemeParams(0.1, 0.4, 0.07, 0.43, 2)
     traj = propagate(Distribution.from_process_probs((0.8, 0.2)), build_matrix(params), 100)
-    assert traj.deadlock_mass()[100] == 1.0
+    assert traj.rows[100, -1] == 1.0
     expected = 0.57 ** np.arange(101)
     np.testing.assert_allclose(traj.survival(), expected, rtol=1e-10, atol=0.0)
     mx = metrics(traj, params)
@@ -220,10 +230,3 @@ def test_compare_ties_within_rounding_fall_back_to_catalog_order():
         final = [entry.metrics.efficiency_index[-1] for entry in report.entries]
         assert abs(final[0] - final[1]) <= 1e-13 * final[0], (m, r, horizon)
         assert report.ranked_schemes == (SchemeId.I_B, SchemeId.II_B), (m, r, horizon, pb)
-
-
-def test_entry_lookup_by_scheme():
-    report = compare([make_preset(SchemeId.I_A, {}, pb=PB5)], 5)
-    assert report.entry_for(SchemeId.I_A).scheme is SchemeId.I_A
-    with pytest.raises(KeyError):
-        report.entry_for(SchemeId.IV)

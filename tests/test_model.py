@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schedchain
+from schedchain import analysis, model, montecarlo, schemes
 from schedchain import (
     ATOL,
     DimensionError,
@@ -82,7 +84,6 @@ def test_params_keep_exact_inputs():
     params = SchemeParams(0.0, 0.834, 0.0, 0.166, 5)
     assert params.s == 0.834
     assert params.r == 0.166
-    assert not params.deadlock_free
 
 
 # ---------------------------------------------------------------------------
@@ -468,3 +469,17 @@ def test_survival_is_geometric_without_movement(m, stay, n):
     traj = propagate(Distribution.from_process_probs(pb), build_matrix(params), n)
     remaining = float(traj[n].processes.sum())
     assert abs(remaining - params.s ** n) <= ATOL
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_package_exports_are_the_module_lists():
+    modules = (model, schemes, montecarlo, analysis)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))  # no module shadows another's name
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(schedchain, name) is getattr(module, name)
+    assert sorted(schedchain.__all__) == sorted(["__version__", *names])

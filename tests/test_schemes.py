@@ -182,6 +182,17 @@ def test_closed_form_rejects_negative_quantum():
     preset = make_preset(SchemeId.I_A, {}, pb=PB5)
     with pytest.raises(ParameterError):
         closed_form(preset, -1)
+    # the table kernel checks its own inputs: every count, and pb against m
+    params = SchemeParams(0.4, 0.3, 0.2, 0.1, 5)
+    with pytest.raises(ParameterError):
+        closed_form_table(params, np.array(PB5), [0, -3])
+    with pytest.raises(DimensionError):
+        closed_form_table(params, np.array([0.5, 0.5, 0.0]), [0, 1])
+    # any array-like pb is taken
+    np.testing.assert_array_equal(
+        closed_form_table(params, list(PB5), [0, 7]),
+        closed_form_table(params, np.array(PB5), [0, 7]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +245,7 @@ def _hazard_free(scheme, r):
 def test_closed_form_small_hazard_has_relative_accuracy(scheme, r):
     preset = make_preset(scheme, _hazard_free(scheme, r), pb=PB5)
     exact = propagate(preset.init, build_matrix(preset.params), 5000)
-    dead, survival = exact.deadlock_mass(), exact.survival()
+    dead, survival = exact.rows[:, -1], exact.survival()
     for n in (1, 2, 10, 100, 1000, 4999, 5000):
         out = closed_form(preset, n)
         assert out.deadlock == pytest.approx(dead[n], rel=1e-10, abs=0.0)
@@ -355,7 +366,7 @@ def test_closed_form_trajectory_long_horizon_matches_propagate():
     assert np.max(np.abs(analytic.to_array() - exact.to_array())) <= 1e-12
     np.testing.assert_allclose(analytic.survival(), exact.survival(), rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(
-        analytic.deadlock_mass(), exact.deadlock_mass(), rtol=1e-10, atol=0.0
+        analytic.rows[:, -1], exact.rows[:, -1], rtol=1e-10, atol=0.0
     )
 
 
