@@ -17,20 +17,24 @@ byte for byte.  The output destination is not part of ``meta``.
 
 Exit codes: 0 success, 1 engine cross-check divergence (``--verify``),
 2 usage error (also a horizon too large to allocate), 3 scheme constraint
-violation, 4 output I/O failure.
+violation, 4 output I/O failure (standard output is flushed before exit
+code 4 is decided).
+
+Only ``model`` and ``schemes`` load with this module; the Monte Carlo and
+analysis engines and the JSON encoder load when a call first needs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
+import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .analysis import compare as compare_presets
 from .model import (
     DRIFT_TOL,
     DimensionError,
@@ -42,7 +46,6 @@ from .model import (
     propagate,
     state_labels,
 )
-from .montecarlo import CENSORED, SimConfig, absorption_times, simulate
 from .schemes import (
     CONSTRAINTS,
     ConstraintError,
@@ -59,6 +62,36 @@ VERIFY_TOL = 1e-10
 
 _PARAM_NAMES = ("p", "s", "q", "r")
 _SCHEME_CHOICES = [scheme.value for scheme in SchemeId]
+
+#: Engine names bound in this module on first use, so that a call imports
+#: only the engines its subcommand runs: name here -> (module, name there).
+_LAZY = {
+    "compare_presets": ("analysis", "compare"),
+    "CENSORED": ("montecarlo", "CENSORED"),
+    "SimConfig": ("montecarlo", "SimConfig"),
+    "simulate": ("montecarlo", "simulate"),
+    "absorption_times": ("montecarlo", "absorption_times"),
+}
+
+
+def _load(module: str) -> None:
+    """Import an engine module and bind its ``_LAZY`` names here.
+
+    A name already bound keeps its binding, so a function patched or
+    wrapped here before the first call is the one the executors call.
+    """
+    engine = importlib.import_module(f".{module}", __package__)
+    bound = globals()
+    for name, (source, attr) in _LAZY.items():
+        if source == module:
+            bound.setdefault(name, getattr(engine, attr))
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LAZY[name][0])
+    return globals()[name]
 
 
 class EngineDivergence(RuntimeError):
@@ -340,6 +373,7 @@ def _exec_closed_form(spec: RunSpec) -> Payload:
 
 
 def _exec_simulate(spec: RunSpec) -> Payload:
+    _load("montecarlo")
     params, init, _ = _resolve(spec)
     config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
     estimate = simulate(config)
@@ -349,6 +383,7 @@ def _exec_simulate(spec: RunSpec) -> Payload:
 
 
 def _exec_absorb(spec: RunSpec) -> Payload:
+    _load("montecarlo")
     params, init, _ = _resolve(spec)
     config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
     sample = absorption_times(config)
@@ -374,6 +409,7 @@ def _exec_absorb(spec: RunSpec) -> Payload:
 
 
 def _exec_compare(spec: RunSpec) -> Payload:
+    _load("analysis")
     presets = [
         make_preset(SchemeId(scheme), free or None, pb=spec.pb, m=spec.m)
         for scheme, free in spec.presets
@@ -438,6 +474,8 @@ def render_csv(payload: Payload) -> str:
 
 
 def render_json(payload: Payload) -> str:
+    import json
+
     obj = {"meta": payload.meta, "columns": payload.columns, "rows": payload.rows}
     obj.update(payload.extra)
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
@@ -448,6 +486,7 @@ def emit(payload: Payload, fmt: str, output: str | None) -> None:
     text = render_csv(payload) if fmt == "csv" else render_json(payload)
     if output is None:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -470,5 +509,20 @@ def main(argv=None) -> int:
         emit(payload, spec.fmt, spec.output)
     except OSError as exc:
         print(f"schedchain: cannot write output: {exc}", file=sys.stderr)
+        if spec.output is None:
+            _discard_stdout()
         return 4
     return 0
+
+
+def _discard_stdout() -> None:
+    """Point standard output at the null device.
+
+    Python flushes standard output once more at exit; the text left in its
+    buffer would fail again there and turn exit code 4 into 120.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)

@@ -23,6 +23,8 @@ Numbers: As Easy as 1, 2, 3", SC'11).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -62,9 +64,10 @@ _TILE_BUDGET = 1 << 16
 
 #: Shortest tile, in quanta, that two workers share.  A worker rekeys the
 #: Philox stream of every walk holding the GIL, so on tiles of shorter walks
-#: the two workers mostly wait for each other: measured on 2 vCPUs, two
-#: workers were slower at 1600 quanta and faster from 2000 on.
-_PARALLEL_SPAN = 2000
+#: the two workers mostly wait for each other: measured on 2 vCPUs with the
+#: state-struct rekey, two workers were slower at 800 quanta and faster from
+#: 1000 on (with the dict setter the crossing was near 2000).
+_PARALLEL_SPAN = 1000
 
 
 def _spare_cpu() -> bool:
@@ -187,30 +190,110 @@ class AbsorptionSample:
         return self.censored_fraction > CENSOR_WARN_FRACTION
 
 
+def _state_views(bg: np.random.Philox):
+    """Views of the key, the counter and ``buffer_pos`` in ``bg``'s C state.
+
+    numpy's ``philox_state`` begins with pointers to the counter and to the
+    key, followed by ``int buffer_pos`` at offset 16.  The layout is private,
+    so :func:`_state_rekey_works` checks it before the views are used.
+    """
+    address = bg.ctypes.state_address
+    counter_at, key_at = (ctypes.c_void_p * 2).from_address(address)
+    return (
+        (ctypes.c_uint64 * 2).from_address(key_at),
+        (ctypes.c_uint64 * 4).from_address(counter_at),
+        ctypes.c_int.from_address(address + 16),
+    )
+
+
+class _WalkStreams:
+    """One Philox generator, rekeyed to the stream of each walk in turn.
+
+    Rekeying writes the key, the counter and ``buffer_pos`` straight into
+    the generator's state struct when :func:`_state_rekey_works`, about
+    0.2 us a walk; otherwise it goes through the ``state`` dict setter,
+    about 2.6 us a walk.
+    """
+
+    def __init__(self, state_struct: bool):
+        self.bg = np.random.Philox(key=0)
+        self.random = np.random.Generator(self.bg).random
+        self.views = _state_views(self.bg) if state_struct else None
+
+    def fill(self, seed: int, first_walk: int, out: np.ndarray, first_draw: int) -> None:
+        random = self.random
+        block = first_draw // 4
+        if self.views is None:
+            state = self.bg.state
+            key = state["state"]["key"]
+            counter = state["state"]["counter"]
+            key[1] = seed
+            counter[:] = 0
+            counter[0] = block
+            for i, row in enumerate(out):
+                key[0] = first_walk + i
+                state["buffer_pos"] = 4
+                self.bg.state = state
+                random(out=row)
+            return
+        key, counter, buffer_pos = self.views
+        key[1] = seed
+        for i, row in enumerate(out):
+            key[0] = first_walk + i
+            counter[0] = block  # the other words stay 0: no walk draws 2**66 times
+            buffer_pos.value = 4
+            random(out=row)
+
+
+_rekey_check = threading.Lock()
+_worker = threading.local()
+
+
+@functools.cache
+def _state_rekey_works() -> bool:
+    """Whether keying a walk through the state struct gives the dict setter's draws.
+
+    Runs once per process; any error counts as a mismatch.  Nothing is
+    written through the views until they read back the key and counter
+    numpy set, and the struct's two leading words must look like pointers
+    (a key or counter held inline would show 2 or a word above 2**56 there).
+    """
+    seed, walk = 0xD1B54A32D192ED03, 0x9E3779B97F4A7C15
+    try:
+        bg = np.random.Philox(key=(seed << 64) | walk, counter=2)
+        words = (ctypes.c_uint64 * 2).from_address(bg.ctypes.state_address)
+        if not all(1 << 16 <= word < 1 << 56 for word in words):
+            return False
+        key, counter, buffer_pos = _state_views(bg)
+        if (list(key), list(counter), buffer_pos.value) != ([walk, seed], [2, 0, 0, 0], 4):
+            return False
+        via_struct = np.empty((1, 8))
+        via_dict = np.empty((1, 8))
+        _WalkStreams(True).fill(seed, walk, via_struct, 8)
+        _WalkStreams(False).fill(seed, walk, via_dict, 8)
+        return np.array_equal(via_struct, via_dict)
+    except Exception:
+        return False
+
+
 def _fill_uniforms(seed: int, first_walk: int, out: np.ndarray, first_draw: int = 0) -> None:
     """Fill ``out[i]`` with draws ``first_draw..`` of walk ``first_walk + i``.
 
-    Rekeys a single Philox instance per row instead of constructing one,
-    which is an order of magnitude faster and bit-identical to the walk's
-    own stream, ``Generator(Philox(key=(seed << 64) | walk))``, drawing
+    Rekeys one Philox instance per row instead of constructing one, which
+    is bit-identical to the walk's own stream,
+    ``Generator(Philox(key=(seed << 64) | walk))``, drawing
     ``random(first_draw + out.shape[1])[first_draw:]``.
     Philox is counter based and makes draws in fours, so setting the
     counter to ``k`` resumes a stream at draw ``4k`` without computing the
-    draws before it; ``first_draw`` must be a multiple of 4.
+    draws before it; ``first_draw`` must be a multiple of 4.  Each thread
+    keeps its own instance, built on its first fill.
     """
-    bg = np.random.Philox(key=0)
-    gen = np.random.Generator(bg)
-    state = bg.state
-    key = state["state"]["key"]
-    counter = state["state"]["counter"]
-    key[1] = seed
-    counter[:] = 0
-    counter[0] = first_draw // 4
-    for i in range(out.shape[0]):
-        key[0] = first_walk + i
-        state["buffer_pos"] = 4
-        bg.state = state
-        gen.random(out=out[i])
+    streams = getattr(_worker, "streams", None)
+    if streams is None:
+        with _rekey_check:
+            state_struct = _state_rekey_works()
+        streams = _worker.streams = _WalkStreams(state_struct)
+    streams.fill(seed, first_walk, out, first_draw)
 
 
 def _thresholds(params: SchemeParams) -> tuple[float, float, float]:
@@ -223,9 +306,13 @@ def _thresholds(params: SchemeParams) -> tuple[float, float, float]:
 
 
 def _sweep(
-    config: SimConfig, keep_traces: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    config: SimConfig, keep_traces: bool = False, hits_only: bool = False
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Evolve all walks; return (counts, first_hit, traces or None).
+
+    With ``hits_only`` the walks' positions are never formed and ``counts``
+    is None: a first hit depends only on the deadlock draws and the start
+    slot.
 
     Walks are swept in tiles of at most :data:`_TILE_BUDGET` draws with no
     loop over quanta.  A tile holds ``_TILE_BUDGET // (n_quanta + 1)`` whole
@@ -256,7 +343,7 @@ def _sweep(
     cdf = np.cumsum(config.init.probs)
     cdf[-1] = 1.0  # guard against float shortfall; draws are in [0, 1)
 
-    counts = np.zeros((n_cols, m + 1), dtype=np.int64)
+    counts = None if hits_only else np.zeros((n_cols, m + 1), dtype=np.int64)
     first_hit = np.full(n_walks, CENSORED, dtype=np.int64)
     traces = np.empty((n_walks, n_cols), dtype=np.int64) if keep_traces else None
 
@@ -287,7 +374,9 @@ def _sweep(
         # becomes the position table once a tile's moves are read from it.
         size = tile_walks * span
         draws = np.empty(size)
-        advance, back, dead = (np.empty(size, dtype=bool) for _ in range(3))
+        dead = np.empty(size, dtype=bool)
+        if not hits_only:
+            advance, back = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
         for lo in starts[first::workers]:
             if stop.is_set():
                 return
@@ -299,19 +388,12 @@ def _sweep(
                 shape = (hi - lo, t1 - t0)
                 n = shape[0] * shape[1]
                 u = draws[:n].reshape(shape)
-                adv, bk, dd = (buf[:n].reshape(shape) for buf in (advance, back, dead))
+                dd = dead[:n].reshape(shape)
                 _fill_uniforms(config.seed, lo, u, t0)
                 if t0 == 0:
                     slot = np.searchsorted(cdf, u[:, 0], side="right")
-
-                np.less(u, c1, out=adv)
-                np.greater_equal(u, c2, out=bk)
                 np.greater_equal(u, c3, out=dd)
-                moves = adv.view(np.int8)
-                moves -= bk.view(np.int8)  # u >= c2 takes retreat and deadlock draws,
-                moves += dd.view(np.int8)  # so deadlock draws are added back
                 if t0 == 0:
-                    moves[:, 0] = 0
                     dd[:, 0] = slot == m
 
                 # first hits: the first deadlock column of a walk still alive
@@ -319,6 +401,17 @@ def _sweep(
                 alive = hits == CENSORED
                 new = alive & dd[rows, hit_col]
                 hits[new] = t0 + hit_col[new]
+                if hits_only:
+                    continue
+
+                adv, bk = advance[:n].reshape(shape), back[:n].reshape(shape)
+                np.less(u, c1, out=adv)
+                np.greater_equal(u, c2, out=bk)
+                moves = adv.view(np.int8)
+                moves -= bk.view(np.int8)  # u >= c2 takes retreat and deadlock draws,
+                moves += dd.view(np.int8)  # so deadlock draws are added back
+                if t0 == 0:
+                    moves[:, 0] = 0
                 hit_col[~alive] = 0
                 jumped = np.flatnonzero(new | ~alive)
 
@@ -384,7 +477,7 @@ def absorption_times(config: SimConfig) -> AbsorptionSample:
     config describe the same set of walks.  With ``r == 0`` every walk is
     censored.
     """
-    _, first_hit, _ = _sweep(config)
+    _, first_hit, _ = _sweep(config, hits_only=True)
     return AbsorptionSample(first_hit, config.n_quanta)
 
 

@@ -1,8 +1,10 @@
 """Tests for the command-line front end: parsing, outputs, exit codes."""
 
 import csv
+import gc
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -352,8 +354,82 @@ def test_output_file_and_io_failure(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, schedchain.cli; print('scipy' in sys.modules)"
-    child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    # importing the CLI loads neither scipy nor the engines and the JSON
+    # encoder a subcommand may never use, and a run never loads numpy.random
+    code = (
+        "import sys, schedchain.cli\n"
+        "print(sorted({'scipy', 'schedchain.montecarlo', 'schedchain.analysis', 'json'}"
+        " & set(sys.modules)))\n"
+        "schedchain.cli.main(['run', '--scheme', 'I_B', '--r', '0.1', '--pb', '0.5,0.5',"
+        " '--quanta', '2', '--output', sys.argv[1]])\n"
+        "print('numpy.random' in sys.modules)\n"
     )
-    assert child.stdout.strip() == "False"
+    child = subprocess.run(
+        [sys.executable, "-c", code, os.devnull], capture_output=True, text=True, check=True
+    )
+    assert child.stdout.split("\n")[:2] == ["[]", "False"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("simulate", ["simulate", "--scheme", "I_B", "--r", "0.2", "--pb", PB_ARG,
+                      "--quanta", "3", "--walks", "20"]),
+        ("absorption_times", ["absorb", "--scheme", "I_B", "--r", "0.2", "--pb", PB_ARG,
+                              "--quanta", "3", "--walks", "20"]),
+        ("compare_presets", ["compare", "--preset", "I_B:r=0.2", "--preset", "II_B:r=0.2",
+                             "--pb", PB_ARG, "--quanta", "3"]),
+    ],
+)
+def test_lazily_bound_engines_stay_patchable(monkeypatch, name, argv):
+    original = getattr(cli, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    execute(parse_args(argv))
+    assert calls == [name]
+
+
+def test_engines_patched_before_first_load_are_the_ones_called():
+    # binding a name before its engine loads keeps that binding, as the
+    # benchmark's tracer relies on
+    code = (
+        "import sys, schedchain.cli as cli\n"
+        "cli.compare_presets = lambda presets, horizon: sys.exit(7)\n"
+        "cli.main(['compare', '--preset', 'I_B:r=0.2', '--pb', '0.5,0.5'])\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert child.returncode == 7, child.stderr
+
+
+def test_main_does_not_freeze_but_the_process_entry_does(capsys):
+    before = gc.get_freeze_count()
+    assert main(["run", "--scheme", "I_B", "--r", "0.1", "--pb", "0.5,0.5", "--quanta", "2"]) == 0
+    assert gc.get_freeze_count() == before
+    code = (
+        "import gc, schedchain.__main__ as entry\n"
+        "entry.main = lambda: print(gc.get_freeze_count() > 0) or 5\n"
+        "entry.entry()\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (child.returncode, child.stdout) == (5, "True\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_buffered_stdout_write_failure_exits_4():
+    # with buffered stdout the text reaches the device only when flushed;
+    # that flush must fail inside main, not at interpreter exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "schedchain", "run", "--scheme", "I_B", "--r", "0.1",
+             "--pb", "0.5,0.5", "--quanta", "5"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert child.returncode == 4
+    assert "cannot write output" in child.stderr
+    assert "Exception ignored" not in child.stderr

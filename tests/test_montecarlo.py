@@ -302,6 +302,64 @@ def test_streams_resume_at_multiples_of_four_draws():
         assert np.array_equal(out[i], reference.random(21)[12:])
 
 
+@pytest.fixture
+def fresh_rekey(monkeypatch):
+    """Forget the process's rekey self-check and this thread's generator."""
+    monkeypatch.setattr(mc, "_worker", threading.local())
+    mc._state_rekey_works.cache_clear()
+    yield
+    mc._state_rekey_works.cache_clear()
+
+
+def _force_dict_rekey(monkeypatch, how):
+    if how == "error":
+        def broken(bg):
+            raise RuntimeError("no state struct")
+
+        monkeypatch.setattr(mc, "_state_views", broken)
+    else:  # views of another generator: the self-check reads the wrong key
+        other = np.random.Philox(key=1)
+        views = mc._state_views
+        monkeypatch.setattr(mc, "_state_views", lambda bg: views(other))
+
+
+@pytest.mark.parametrize("rekey", ["state-struct", "error", "mismatch"])
+@pytest.mark.parametrize("first_draw", [0, 8, 12])
+def test_both_rekey_paths_match_documented_keying(monkeypatch, fresh_rekey, rekey, first_draw):
+    if rekey != "state-struct":
+        _force_dict_rekey(monkeypatch, rekey)
+    seed, first_walk = 2 ** 64 - 3, 2 ** 63 - 2  # both key words use their top bit
+    out = np.empty((4, 7))
+    mc._fill_uniforms(seed, first_walk, out, first_draw)
+    assert mc._state_rekey_works() is (rekey == "state-struct")
+    for i in range(4):
+        reference = np.random.Generator(np.random.Philox(key=(seed << 64) | (first_walk + i)))
+        assert np.array_equal(out[i], reference.random(first_draw + 7)[first_draw:])
+
+
+def test_dict_rekey_fallback_gives_identical_runs(monkeypatch, fresh_rekey):
+    preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
+    config = SimConfig.from_preset(preset, n_quanta=15, n_walks=300, seed=43)
+    fast = mc._sweep(config, keep_traces=True)
+    _force_dict_rekey(monkeypatch, "error")
+    monkeypatch.setattr(mc, "_worker", threading.local())
+    mc._state_rekey_works.cache_clear()
+    slow = mc._sweep(config, keep_traces=True)
+    assert not mc._state_rekey_works()
+    for name, a, b in zip(("counts", "first_hit", "traces"), fast, slow):
+        assert np.array_equal(a, b), name
+
+
+def test_rekey_self_check_runs_once_per_process(monkeypatch, fresh_rekey):
+    monkeypatch.setattr(mc, "_TILE_BUDGET", 48)
+    _two_workers(monkeypatch, True)  # both threads build a generator at once
+    preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
+    config = SimConfig.from_preset(preset, n_quanta=15, n_walks=60, seed=41)
+    simulate(config)
+    absorption_times(config)
+    assert mc._state_rekey_works.cache_info().misses == 1
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 
