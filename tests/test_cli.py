@@ -406,17 +406,146 @@ def test_engines_patched_before_first_load_are_the_ones_called():
     assert child.returncode == 7, child.stderr
 
 
-def test_main_does_not_freeze_but_the_process_entry_does(capsys):
-    before = gc.get_freeze_count()
-    assert main(["run", "--scheme", "I_B", "--r", "0.1", "--pb", "0.5,0.5", "--quanta", "2"]) == 0
-    assert gc.get_freeze_count() == before
+# ---------------------------------------------------------------------------
+# process entry
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child_env(**settings):
+    """This process's environment with buffered output, no thread counts and ``settings``."""
+    drop = {"PYTHONUNBUFFERED", *THREAD_VARS}
+    return {**{k: v for k, v in os.environ.items() if k not in drop}, **settings}
+
+
+def _entry_with_main(main_source, **kwargs):
+    """Run ``schedchain.__main__.entry()`` in a child whose ``cli.main`` is
+    defined by ``main_source``; ``kwargs`` go to ``subprocess.run``.
+
+    The stand-in ``cli`` module is in place before the entry imports it, so
+    nothing loads numpy before the entry has set the process up."""
     code = (
-        "import gc, schedchain.__main__ as entry\n"
-        "entry.main = lambda: print(gc.get_freeze_count() > 0) or 5\n"
+        "import sys, types, schedchain.__main__ as entry\n"
+        "cli = types.ModuleType('schedchain.cli')\n"
+        "exec(sys.argv[1], cli.__dict__)\n"
+        "sys.modules['schedchain.cli'] = cli\n"
         "entry.entry()\n"
     )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (child.returncode, child.stdout) == (5, "True\n")
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": _child_env(), **kwargs}
+    return subprocess.run([sys.executable, "-c", code, main_source], text=True, **options)
+
+
+_REPORT_THREADS = (
+    "import json, os, sys\n"
+    "def main():\n"
+    "    del sys.modules['schedchain.cli']\n"
+    "    import schedchain.cli  # the real one, which loads numpy and its BLAS\n"
+    "    tasks = '/proc/self/task'\n"
+    "    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+    f"    env = {{k: os.environ.get(k) for k in {THREAD_VARS!r}}}\n"
+    "    print(json.dumps({'threads': threads, 'env': env}))\n"
+    "    return 0\n"
+)
+
+
+def test_entry_runs_the_cli_with_one_blas_thread():
+    child = _entry_with_main(_REPORT_THREADS)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                             "OMP_NUM_THREADS": None}
+    if report["threads"] is not None:
+        assert report["threads"] == 1
+
+
+@pytest.mark.parametrize("name", THREAD_VARS)
+def test_caller_thread_count_reaches_the_cli_unchanged(name):
+    child = _entry_with_main(_REPORT_THREADS, env=_child_env(**{name: "2"}))
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout)["env"] == {k: "2" if k == name else None for k in THREAD_VARS}
+
+
+def test_library_use_leaves_environment_and_collector_alone():
+    code = (
+        "import gc, os\n"
+        "before = dict(os.environ), gc.isenabled()\n"
+        "import schedchain\n"
+        "import schedchain.cli\n"
+        "schedchain.cli.main(['run', '--scheme', 'I_B', '--r', '0.1', '--pb', '0.5,0.5',"
+        " '--quanta', '2', '--output', os.devnull])\n"
+        "print((dict(os.environ), gc.isenabled()) == before)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert (child.returncode, child.stdout) == (0, "True\n"), child.stderr
+
+
+def test_main_leaves_the_collector_alone_but_the_process_entry_disables_it(capsys):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert main(["run", "--scheme", "I_B", "--r", "0.1", "--pb", "0.5,0.5", "--quanta", "2"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    child = _entry_with_main("import gc\ndef main():\n    print(gc.isenabled())\n    return 5\n")
+    assert (child.returncode, child.stdout) == (5, "False\n"), child.stderr
+
+
+def test_output_larger_than_a_pipe_arrives_whole(tmp_path):
+    argv = ["run", "--scheme", "I_B", "--r", "1e-4", "--pb", PB_ARG, "--quanta", "20000"]
+    expected = render_csv(execute(parse_args(argv))).encode()
+    assert len(expected) > 1 << 20
+    command = [sys.executable, "-m", "schedchain", *argv]
+    piped = subprocess.run(command, capture_output=True, env=_child_env())
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == expected
+    target = tmp_path / "out.csv"
+    written = subprocess.run(
+        [*command, "--output", str(target)], capture_output=True, env=_child_env()
+    )
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert target.read_bytes() == expected
+
+
+def test_atexit_handler_registered_in_main_runs_once():
+    child = _entry_with_main(
+        "import atexit\n"
+        "def main():\n"
+        "    atexit.register(print, 'handler ran')\n"
+        "    return 3\n"
+    )
+    assert (child.returncode, child.stdout) == (3, "handler ran\n"), child.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_final_flush_exits_through_the_interpreter():
+    # text an atexit handler leaves in the buffer fails to flush; the process
+    # then exits as Python does when that happens at teardown, with no traceback
+    with open("/dev/full", "w") as full:
+        child = _entry_with_main(
+            "import atexit\n"
+            "def main():\n"
+            "    atexit.register(print, 'handler ran')\n"
+            "    return 0\n",
+            stdout=full,
+        )
+    assert child.returncode == 120
+    assert child.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert "Traceback" not in child.stderr
+
+
+def test_uncaught_error_in_main_prints_its_traceback_and_exits_1():
+    child = _entry_with_main("def main():\n    raise RuntimeError('engine broke')\n")
+    assert child.returncode == 1
+    assert "Traceback" in child.stderr
+    assert child.stderr.rstrip().endswith("RuntimeError: engine broke")
+
+
+def test_usage_error_through_the_process_entry_exits_2():
+    child = subprocess.run(
+        [sys.executable, "-m", "schedchain", "run", "--scheme", "nope"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert child.returncode == 2
+    assert "invalid choice: 'nope'" in child.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
