@@ -106,14 +106,11 @@ class SchemeMetrics:
             object.__setattr__(self, name, arr)
 
 
-def metrics(trajectory: Trajectory, params: SchemeParams | None = None) -> SchemeMetrics:
+def metrics(trajectory: Trajectory, params: SchemeParams) -> SchemeMetrics:
     """Compute survival, fairness and efficiency curves for a trajectory.
 
-    When ``params`` is given, the expected absorption time is ``1/params.r``
-    (infinite for ``r == 0``).  Without it the hazard is inferred from the
-    first survival ratio, which is exact for this chain family because the
-    per-quantum deadlock hazard does not depend on the occupied slot; a
-    single-row trajectory is treated as hazard-free.
+    The expected absorption time is ``1/params.r``, infinite for ``r == 0``:
+    the per-quantum deadlock hazard does not depend on the occupied slot.
     """
     survival = trajectory.survival()
 
@@ -123,13 +120,7 @@ def metrics(trajectory: Trajectory, params: SchemeParams | None = None) -> Schem
     fairness = np.ones(len(trajectory))
     fairness[alive] = _jain(trajectory.rows[alive, :-1])
 
-    if params is not None:
-        hazard = params.r
-    elif len(trajectory) >= 2 and survival[0] > 0.0:
-        hazard = 1.0 - float(survival[1] / survival[0])
-    else:
-        hazard = 0.0
-    expected = math.inf if hazard <= 0.0 else 1.0 / hazard
+    expected = math.inf if params.r <= 0.0 else 1.0 / params.r
 
     return SchemeMetrics(survival, fairness, survival * fairness, expected)
 

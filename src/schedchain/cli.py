@@ -186,7 +186,7 @@ def _parse_pb(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
     if len(values) < 2:
         parser.error(f"--pb implies m={len(values)}, but m must be >= 2")
     total = sum(values)
-    if abs(total - 1.0) > DRIFT_TOL:
+    if not abs(total - 1.0) <= DRIFT_TOL:  # also when a NaN makes the sum NaN
         parser.error(f"--pb must sum to 1, got {total!r}")
     return values
 
@@ -212,8 +212,8 @@ def _parse_preset_token(text: str, parser: argparse.ArgumentParser) -> tuple[str
 
 def _scheme_epilog() -> str:
     lines = ["scheme constraint sets:"]
-    for scheme, cs in CONSTRAINTS.items():
-        lines.append(f"  {scheme.value:<6} {cs.note}")
+    for scheme, (_, note) in CONSTRAINTS.items():
+        lines.append(f"  {scheme.value:<6} {note}")
     return "\n".join(lines)
 
 
@@ -351,13 +351,10 @@ def _trajectory_payload(spec: RunSpec, engine: str, table: np.ndarray, m: int) -
 
 
 def _exec_run(spec: RunSpec) -> Payload:
-    params, init, preset = _resolve(spec)
+    params, init, _ = _resolve(spec)
     table = propagate(init, build_matrix(params), spec.quanta).to_array()
     if spec.verify:
-        if preset is not None:
-            analytic = closed_form_trajectory(preset, spec.quanta).to_array()
-        else:
-            analytic = closed_form_table(params, init.processes, np.arange(spec.quanta + 1))
+        analytic = closed_form_table(params, init.processes, np.arange(spec.quanta + 1))
         gap = float(np.max(np.abs(table - analytic)))
         if not gap <= VERIFY_TOL:  # also when the closed form holds a NaN
             raise EngineDivergence(

@@ -21,17 +21,22 @@ same circulant step to every slot, so after ``n`` quanta the slot mass is
 ``IFFT(FFT(pb) · (λ/λ_0)^n)`` over the step's eigenvalues
 ``λ_k = s + p·ω^k + q·ω^-k`` (Gray, *Toeplitz and Circulant Matrices: A
 Review*, 2006), times the ring's survival ``(1 - r)^n``, and deadlock holds
-the rest, ``1 - (1 - r)^n``.  A trajectory of ``N`` quanta costs
-O(N·m log m).  FIFO, round robin and scheme IV make at most one kind of
-move, so their rows are ``pb`` rotated exactly, then scaled.  The
-closed form evaluates each quantum without stepping a matrix, which makes it an
-independent cross-check of :func:`schedchain.model.propagate` (and vice
-versa).
+the rest, ``1 - (1 - r)^n``.  numpy's real FFT evaluates it at every ring
+size, so a trajectory of ``N`` quanta costs O(N·m log m); the first such call
+in a process imports ``numpy.fft``.  FIFO, round robin and scheme IV make at
+most one kind of move, so their rows are ``pb`` rotated exactly, then
+scaled, and need no transform.  The closed form evaluates each quantum
+without stepping a matrix, which makes it an independent cross-check of
+:func:`schedchain.model.propagate` (and vice versa).
+
+:data:`CONSTRAINTS` holds each scheme's pinned probabilities and its help
+note.  The other names, in ``p, s, q, r`` order, are the scheme's free
+parameters: a caller gives all of them but one, which the unit-mass
+condition then fixes, or none when all four are pinned.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +57,6 @@ from .model import (
 __all__ = [
     "ConstraintError",
     "SchemeId",
-    "ConstraintSet",
     "CONSTRAINTS",
     "SchemePreset",
     "make_preset",
@@ -78,42 +82,22 @@ class SchemeId(Enum):
     IV = "IV"
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Pinned move probabilities plus the adjustable (free) parameter names.
-
-    ``n_free`` of the names in ``free`` must be supplied; the single remaining
-    probability is then fixed by the unit-mass condition.
-    """
-
-    pinned: tuple[tuple[str, float], ...]
-    free: tuple[str, ...]
-    n_free: int
-    note: str
-
-
-CONSTRAINTS: dict[SchemeId, ConstraintSet] = {
-    SchemeId.I_A: ConstraintSet(
-        (("p", 0.0), ("s", 1.0), ("q", 0.0), ("r", 0.0)), (), 0,
-        "s=1: FIFO, no deadlock; no free parameters"),
-    SchemeId.I_B: ConstraintSet(
-        (("p", 0.0), ("q", 0.0)), ("r", "s"), 1,
-        "r+s=1: FIFO with deadlock hazard; give one of r, s"),
-    SchemeId.II_A: ConstraintSet(
-        (("p", 1.0), ("s", 0.0), ("q", 0.0), ("r", 0.0)), (), 0,
-        "p=1: round robin, no deadlock; no free parameters"),
-    SchemeId.II_B: ConstraintSet(
-        (("s", 0.0), ("q", 0.0)), ("p", "r"), 1,
-        "p+r=1: round robin with deadlock hazard; give one of p, r"),
-    SchemeId.III_A: ConstraintSet(
-        (("q", 0.0), ("r", 0.0)), ("p", "s"), 1,
-        "p+s=1: stay/advance mixture, no deadlock; give one of p, s"),
-    SchemeId.III_B: ConstraintSet(
-        (("q", 0.0),), ("p", "s", "r"), 2,
-        "p+s+r=1: stay/advance mixture with deadlock hazard; give two of p, s, r"),
-    SchemeId.IV: ConstraintSet(
-        (("p", 1.0), ("s", 0.0), ("q", 0.0), ("r", 0.0)), (), 0,
-        "p=1 and the walk starts at P1; no free parameters, pb is fixed"),
+#: Scheme -> (pinned move probabilities, help note).
+CONSTRAINTS: dict[SchemeId, tuple[dict[str, float], str]] = {
+    SchemeId.I_A: ({"p": 0.0, "s": 1.0, "q": 0.0, "r": 0.0},
+                   "s=1: FIFO, no deadlock; no free parameters"),
+    SchemeId.I_B: ({"p": 0.0, "q": 0.0},
+                   "r+s=1: FIFO with deadlock hazard; give one of r, s"),
+    SchemeId.II_A: ({"p": 1.0, "s": 0.0, "q": 0.0, "r": 0.0},
+                    "p=1: round robin, no deadlock; no free parameters"),
+    SchemeId.II_B: ({"s": 0.0, "q": 0.0},
+                    "p+r=1: round robin with deadlock hazard; give one of p, r"),
+    SchemeId.III_A: ({"q": 0.0, "r": 0.0},
+                     "p+s=1: stay/advance mixture, no deadlock; give one of p, s"),
+    SchemeId.III_B: ({"q": 0.0},
+                     "p+s+r=1: stay/advance mixture with deadlock hazard; give two of p, s, r"),
+    SchemeId.IV: ({"p": 1.0, "s": 0.0, "q": 0.0, "r": 0.0},
+                  "p=1 and the walk starts at P1; no free parameters, pb is fixed"),
 }
 
 
@@ -130,7 +114,7 @@ class SchemePreset:
     init: Distribution
 
     def __post_init__(self) -> None:
-        for name, value in CONSTRAINTS[self.scheme].pinned:
+        for name, value in CONSTRAINTS[self.scheme][0].items():
             if abs(getattr(self.params, name) - value) > ATOL:
                 raise ConstraintError(
                     f"scheme {self.scheme.value} pins {name}={value}, "
@@ -165,42 +149,39 @@ def make_preset(
 ) -> SchemePreset:
     """Build a validated preset from a scheme id and its free parameters.
 
-    ``free_params`` must supply exactly the scheme's adjustable parameters
-    (see :data:`CONSTRAINTS`); anything pinned by the scheme is rejected even
-    when the value would agree, as are under- and over-determined inputs.
-    ``pb`` is the initial mass over the process slots and fixes ``m``; scheme
-    IV may omit it and pass ``m`` instead, in which case the forced unit mass
-    on P1 is filled in.
+    ``free_params`` must supply all of the scheme's unpinned probabilities
+    (see :data:`CONSTRAINTS`) but one, which the unit-mass condition fixes;
+    anything pinned by the scheme is rejected even when the value would
+    agree, as are under- and over-determined inputs.  ``pb`` is the initial
+    mass over the process slots and fixes ``m``; scheme IV may omit it and
+    pass ``m`` instead, in which case the forced unit mass on P1 is filled in.
     """
-    cs = CONSTRAINTS[scheme]
+    pinned, note = CONSTRAINTS[scheme]
+    free = tuple(name for name in ("p", "s", "q", "r") if name not in pinned)
     given = dict(free_params or {})
     for name, value in given.items():
         if name not in ("p", "s", "q", "r"):
             raise ConstraintError(f"unknown move probability {name!r}")
-        if name not in cs.free:
-            raise ConstraintError(
-                f"scheme {scheme.value} does not take {name!r} ({cs.note})"
-            )
+        if name in pinned:
+            raise ConstraintError(f"scheme {scheme.value} does not take {name!r} ({note})")
         if not 0.0 <= value <= 1.0:
             raise ConstraintError(f"{name} must be in [0, 1], got {value!r}")
-    if len(given) != cs.n_free:
-        wanted = " or ".join(cs.free) if cs.n_free == 1 else f"{cs.n_free} of {cs.free}"
+    if free and len(given) != len(free) - 1:
+        wanted = " or ".join(free) if len(free) == 2 else f"{len(free) - 1} of {free}"
         raise ConstraintError(
-            f"scheme {scheme.value} needs exactly {wanted or 'no free parameters'}, "
+            f"scheme {scheme.value} needs exactly {wanted}, "
             f"got {sorted(given) if given else 'none'}"
         )
 
-    values = dict(cs.pinned)
-    values.update(given)
-    missing = [name for name in ("p", "s", "q", "r") if name not in values]
-    if missing:
+    values = {**pinned, **given}
+    if free:
         rest = 1.0 - sum(values.values())
         if rest < -ATOL:
             raise ConstraintError(
                 f"free parameters {sorted(given)} carry more than unit mass "
                 f"for scheme {scheme.value}"
             )
-        values[missing[0]] = max(rest, 0.0)
+        values[next(name for name in free if name not in given)] = max(rest, 0.0)
 
     if m is not None:
         m = _check_int(m, "m", 2)
@@ -232,29 +213,6 @@ def _forward_reach(support: np.ndarray) -> np.ndarray:
     return laps[m:] - last[m:]
 
 
-#: Rings up to this size transform by matrix products, which cost less than
-#: numpy's FFT call overhead (about 10 us a call) there; larger rings use the FFT.
-_MATRIX_DFT_SLOTS = 32
-
-
-@functools.cache
-def _dft_matrices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only real matrices for the length-``m`` real DFT and its inverse.
-
-    ``(x @ fwd).view(complex)`` is ``rfft(x)``, and ``spec.view(float) @ inv``
-    is ``irfft(spec, m)`` for a half spectrum ``spec``.
-    """
-    half = m // 2 + 1
-    w = np.exp(-2j * np.pi / m * (np.outer(np.arange(m), np.arange(half)) % m))
-    weight = np.full(half, 2.0 / m)
-    weight[0] = 1.0 / m
-    if m % 2 == 0:
-        weight[-1] = 1.0 / m  # the Nyquist term has no mirror image
-    fwd, inv = w.view(float), (w * weight).view(float).T
-    fwd.flags.writeable = inv.flags.writeable = False
-    return fwd, inv
-
-
 def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
     """The unvalidated rows ``(P1..Pm, D)`` after each quantum count in ``ns``.
 
@@ -265,15 +223,17 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
     One quantum maps the slot mass ``x`` to ``s·x + p·roll(x, 1) + q·roll(x, -1)``,
     a circulant matrix, so after ``n`` quanta the slot mass is
     ``IFFT(FFT(pb) · (λ/λ_0)^n) · (1 - r)^n`` with eigenvalues
-    ``λ_k = s + p·ω^k + q·ω^-k``, ``ω = exp(-2πi/m)``: O(m log m) per row, for
-    any ``n``.  When at most one of ``p``, ``s``, ``q`` is non-zero (FIFO, round
-    robin, pure retreat, certain deadlock) the slot mass is instead ``pb``
-    rotated by the net shift, exactly, and scaled by ``(1 - r)^n``.  Otherwise
-    round-off negatives become +0.0, and slots the walk cannot have reached yet
-    (further than ``n`` steps from every slot ``pb`` occupies, in the
-    directions it moves) hold exactly 0.  Deadlock holds ``1 - (1 - r)^n``: the
-    slots and D share one survival factor, so rows sum to 1 even where
-    ``p + s + q`` rounds to 1 while ``r > 0``.
+    ``λ_k = s + p·ω^k + q·ω^-k``, ``ω = exp(-2πi/m)``: one ``numpy.fft.rfft``
+    of ``pb`` and the step, and one ``irfft`` of all rows, O(m log m) per row
+    at any ring size and for any ``n``.  A row does not depend on which other
+    counts ``ns`` holds.  When at most one of ``p``, ``s``, ``q`` is non-zero
+    (FIFO, round robin, pure retreat, certain deadlock) the slot mass is
+    instead ``pb`` rotated by the net shift, exactly, and scaled by
+    ``(1 - r)^n``.  Otherwise round-off negatives become +0.0, and slots the
+    walk cannot have reached yet (further than ``n`` steps from every slot
+    ``pb`` occupies, in the directions it moves) hold exactly 0.  Deadlock
+    holds ``1 - (1 - r)^n``: the slots and D share one survival factor, so
+    rows sum to 1 even where ``p + s + q`` rounds to 1 while ``r > 0``.
     """
     quanta = np.asarray(ns, dtype=float)  # exact below 2**53; rotations use the integers
     if (quanta < 0.0).any():
@@ -310,19 +270,11 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
         cols[1, 0] = s
         cols[1, 1] = p
         cols[1, -1] += q  # on a two-slot ring the predecessor is the successor
-        if m <= _MATRIX_DFT_SLOTS:
-            fwd, inv = _dft_matrices(m)
-            pb_hat, eig = (cols @ fwd).view(complex)
-        else:
-            pb_hat, eig = np.fft.rfft(cols)
+        pb_hat, eig = np.fft.rfft(cols)
         # divided as floats: numpy's complex division would leave λ_0/λ_0 an ulp off 1
         ring_eig = (eig.view(float) / eig.real[0]).view(complex)
         spec = pb_hat * ring_eig ** quanta[:, None] * alive[:, None]
-        if m <= _MATRIX_DFT_SLOTS:
-            # one product per row: a row does not depend on how many are computed with it
-            np.matmul(spec.view(float)[:, None], inv, out=proc[:, None])
-        else:
-            proc[:] = np.fft.irfft(spec, m)
+        proc[:] = np.fft.irfft(spec, m)
         # round-off negatives and negative zeros (CSV would print "-0") become +0.0
         np.copyto(proc, 0.0, where=proc <= 0.0)
         if np.minimum.reduce(pb) == 0.0:

@@ -78,12 +78,6 @@ def test_metrics_fifo_with_hazard_first_quantum():
     assert mx.expected_absorption == pytest.approx(1 / 0.166, abs=1e-12)
 
 
-def test_metrics_infers_hazard_from_trajectory():
-    preset = make_preset(SchemeId.I_B, {"r": 0.166}, pb=PB5)
-    mx = metrics(_trajectory(preset, 5))
-    assert mx.expected_absorption == pytest.approx(1 / 0.166, rel=1e-12)
-
-
 def test_metrics_deadlock_free_scheme():
     preset = make_preset(SchemeId.III_A, {"p": 0.5}, pb=PB5)
     mx = metrics(_trajectory(preset, 20), preset.params)

@@ -293,7 +293,7 @@ def test_propagate_renormalizes_each_quantum():
     slots = table[:, :-1].sum(axis=1)
     assert np.all(slots > 0.0) and table[-1, -1] == 1.0
     expected = [jain_fairness(row[:-1]) for row in table]
-    assert np.array_equal(metrics(traj).fairness, expected)
+    assert np.array_equal(metrics(traj, params).fairness, expected)
 
 
 def test_drained_chains_match_per_quantum_stepping():

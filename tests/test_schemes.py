@@ -161,20 +161,15 @@ def test_closed_form_periodicity_is_exact():
             assert np.array_equal(a, b)
 
 
-def test_closed_form_trajectory_matches_pointwise():
-    preset = make_preset(SchemeId.III_B, {"p": 0.417, "r": 0.166}, pb=PB5)
-    traj = closed_form_trajectory(preset, 8)
-    assert len(traj) == 9
-    for n in range(9):
-        assert np.array_equal(traj[n].probs, closed_form(preset, n).probs)
-
-
-def test_closed_form_trajectory_rows_match_pointwise_on_a_wide_ring():
-    # rings above _MATRIX_DFT_SLOTS take the FFT; rows still match bit for bit
-    pb = np.random.default_rng(7).dirichlet(np.ones(40))
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 32, 40])
+def test_closed_form_trajectory_matches_pointwise(m):
+    # every ring size takes the one FFT path (m = 2 has only the DC and
+    # Nyquist bins); a row is bit-identical whatever rows come with it
+    pb = PB5 if m == 5 else np.random.default_rng(m).dirichlet(np.ones(m))
     preset = make_preset(SchemeId.III_B, {"p": 0.417, "r": 0.166}, pb=pb)
     traj = closed_form_trajectory(preset, 60)
-    for n in (0, 1, 2, 17, 59, 60):
+    assert len(traj) == 61
+    for n in (*range(9), 17, 59, 60):
         assert np.array_equal(traj[n].probs, closed_form(preset, n).probs)
 
 
@@ -423,6 +418,35 @@ def test_closed_form_table_matches_propagate_with_retreat():
         assert np.max(np.abs(analytic - exact)) <= 1e-12, params
         # neither negative values nor negative zeros: CSV would print "-0"
         assert not np.signbit(analytic).any(), params
+
+
+def test_closed_form_table_matches_extended_precision_stepping():
+    # reference: the ring step divided by λ_0 = p + s + q, stepped in
+    # np.longdouble, times the survival factor (1 - r)^n
+    rng = np.random.default_rng(1318)
+    ns = np.arange(201)
+    for _ in range(240):
+        m = int(rng.integers(2, 41))
+        p, s, q, x = rng.dirichlet(np.ones(4))
+        r = (0.0, 1e-3 * x, x)[rng.integers(3)]
+        ring = (1.0 - r) / (p + s + q)
+        params = SchemeParams(p * ring, s * ring, q * ring, r, m)
+        pb = rng.dirichlet(np.ones(m))
+        pb[rng.random(m) < 0.3] = 0.0
+        if not pb.any():
+            pb[0] = 1.0
+        pb /= pb.sum()
+        table = closed_form_table(params, pb, ns)
+
+        p, s, q = (np.longdouble(v) for v in (params.p, params.s, params.q))
+        walk = np.empty((ns.size, m), dtype=np.longdouble)
+        walk[0] = pb
+        for n in ns[1:]:
+            prev = walk[n - 1]
+            walk[n] = (s * prev + p * np.roll(prev, 1) + q * np.roll(prev, -1)) / (p + s + q)
+        alive = (1 - np.longdouble(params.r)) ** ns.astype(np.longdouble)
+        exact = np.column_stack([walk * alive[:, None], 1 - alive])
+        assert np.max(np.abs(table - exact)) <= 1e-15, (params, pb)
 
 
 @pytest.mark.parametrize("scheme, free", [
