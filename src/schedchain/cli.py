@@ -203,6 +203,8 @@ def _parse_preset_token(text: str, parser: argparse.ArgumentParser) -> tuple[str
             name = name.strip()
             if not sep or not raw:
                 parser.error(f"bad --preset parameter {item!r} (expected name=value)")
+            if name in free:
+                parser.error(f"--preset {text!r} gives {name!r} twice")
             try:
                 free[name] = float(raw)
             except ValueError:

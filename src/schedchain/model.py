@@ -142,31 +142,29 @@ class SchemeParams:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probability mass over ``P1..Pm`` and ``D`` at the end of one quantum."""
+    """Probability mass over ``P1..Pm`` and ``D``; its holder knows the quantum."""
 
     probs: np.ndarray
-    quantum: int = 0
 
     def __post_init__(self) -> None:
         arr = _stochastic(self.probs, "state probabilities", 1)
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "quantum", _check_int(self.quantum, "quantum", 0))
 
     @classmethod
-    def _of_row(cls, row: np.ndarray, quantum: int) -> "Distribution":
+    def _of_row(cls, row: np.ndarray) -> "Distribution":
         """Wrap a read-only row that has already passed ``_stochastic``."""
         dist = object.__new__(cls)
-        dist.__dict__.update(probs=row, quantum=quantum)
+        dist.__dict__["probs"] = row
         return dist
 
     @classmethod
-    def from_process_probs(cls, pb, quantum: int = 0) -> "Distribution":
+    def from_process_probs(cls, pb) -> "Distribution":
         """Distribution with the given mass on the process slots and none on D."""
         pb = np.asarray(pb, dtype=float)
         if pb.ndim != 1:
             raise DimensionError("pb must be one-dimensional")
-        return cls(np.append(pb, 0.0), quantum)
+        return cls(np.append(pb, 0.0))
 
     @property
     def m(self) -> int:
@@ -228,8 +226,8 @@ class Trajectory:
     """Distributions for quanta ``0..N`` as one read-only ``(N + 1) x (m + 1)`` array.
 
     Row ``n`` is quantum ``n``, and the deadlock mass never decreases (D is
-    absorbing).  ``traj[n]`` and iteration wrap each row, a read-only view of
-    ``rows``, in a :class:`Distribution` without checking it again.
+    absorbing).  ``traj[n]``, which iteration also calls, wraps row ``n``, a
+    read-only view of ``rows``, in a :class:`Distribution` without checking it.
     """
 
     rows: np.ndarray
@@ -255,11 +253,8 @@ class Trajectory:
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def __iter__(self):
-        return map(Distribution._of_row, self.rows, range(len(self)))
-
     def __getitem__(self, quantum: int) -> Distribution:
-        return Distribution._of_row(self.rows[quantum], quantum % len(self))
+        return Distribution._of_row(self.rows[quantum])
 
     @property
     def m(self) -> int:
@@ -340,6 +335,8 @@ def _kernels(params: SchemeParams, b: int, width: int) -> tuple[np.ndarray, np.n
 def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajectory:
     """Propagate ``init`` for ``n`` quanta, returning all ``n + 1`` distributions.
 
+    Row ``k`` lies ``k`` quanta after ``init``, which may be any distribution:
+    ``propagate(traj[k], matrix, n - k)`` continues ``traj`` from its row ``k``.
     The chain advances ``b`` quanta per block: about ``sqrt(n)``, at most 128,
     fewer on wide rings.  The ``1..b``-quantum kernels are built once per call
     by stepping a unit mass with the ring stencil, and their taps fold mod ``m``
@@ -353,8 +350,6 @@ def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajector
     a time only by rounding: about 5e-15 at N = 20 000 on a five-slot ring.
     """
     n = _check_int(n, "quantum count", 0)
-    if init.quantum != 0:
-        raise ParameterError(f"propagation starts at quantum 0, got {init.quantum}")
     m = matrix.m
     if init.probs.size != m + 1:
         raise DimensionError(f"distribution has {init.probs.size} states but matrix has {m + 1}")

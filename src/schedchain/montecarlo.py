@@ -209,10 +209,13 @@ def _state_views(bg: np.random.Philox):
 class _WalkStreams:
     """One Philox generator, rekeyed to the stream of each walk in turn.
 
-    Rekeying writes the key, the counter and ``buffer_pos`` straight into
-    the generator's state struct when :func:`_state_rekey_works`, about
-    0.2 us a walk; otherwise it goes through the ``state`` dict setter,
-    about 2.6 us a walk.
+    Each sweep worker builds its own, so no generator is shared between
+    threads.  With ``state_struct`` (pass :func:`_state_rekey_works`)
+    rekeying writes the key, the counter and ``buffer_pos`` straight into
+    the generator's state struct; otherwise it goes through the ``state``
+    dict setter.  Measured on a 2-vCPU Xeon VM, a fill of four draws a walk
+    takes 1.5 us a walk through the struct and 3.6 us through the setter,
+    where building a Philox for each walk takes 22 us.
     """
 
     def __init__(self, state_struct: bool):
@@ -221,6 +224,15 @@ class _WalkStreams:
         self.views = _state_views(self.bg) if state_struct else None
 
     def fill(self, seed: int, first_walk: int, out: np.ndarray, first_draw: int) -> None:
+        """Fill ``out[i]`` with draws ``first_draw..`` of walk ``first_walk + i``.
+
+        Bit-identical to the walk's own stream,
+        ``Generator(Philox(key=(seed << 64) | walk))``, drawing
+        ``random(first_draw + out.shape[1])[first_draw:]``.  Philox is counter
+        based and makes draws in fours, so setting the counter to ``k``
+        resumes a stream at draw ``4k`` without computing the draws before
+        it; ``first_draw`` must be a multiple of 4.
+        """
         random = self.random
         block = first_draw // 4
         if self.views is None:
@@ -245,15 +257,12 @@ class _WalkStreams:
             random(out=row)
 
 
-_rekey_check = threading.Lock()
-_worker = threading.local()
-
-
 @functools.cache
 def _state_rekey_works() -> bool:
     """Whether keying a walk through the state struct gives the dict setter's draws.
 
-    Runs once per process; any error counts as a mismatch.  Nothing is
+    Runs once per process, before any sweep worker starts, so the cache
+    needs no lock; any error counts as a mismatch.  Nothing is
     written through the views until they read back the key and counter
     numpy set, and the struct's two leading words must look like pointers
     (a key or counter held inline would show 2 or a word above 2**56 there).
@@ -274,26 +283,6 @@ def _state_rekey_works() -> bool:
         return np.array_equal(via_struct, via_dict)
     except Exception:
         return False
-
-
-def _fill_uniforms(seed: int, first_walk: int, out: np.ndarray, first_draw: int = 0) -> None:
-    """Fill ``out[i]`` with draws ``first_draw..`` of walk ``first_walk + i``.
-
-    Rekeys one Philox instance per row instead of constructing one, which
-    is bit-identical to the walk's own stream,
-    ``Generator(Philox(key=(seed << 64) | walk))``, drawing
-    ``random(first_draw + out.shape[1])[first_draw:]``.
-    Philox is counter based and makes draws in fours, so setting the
-    counter to ``k`` resumes a stream at draw ``4k`` without computing the
-    draws before it; ``first_draw`` must be a multiple of 4.  Each thread
-    keeps its own instance, built on its first fill.
-    """
-    streams = getattr(_worker, "streams", None)
-    if streams is None:
-        with _rekey_check:
-            state_struct = _state_rekey_works()
-        streams = _worker.streams = _WalkStreams(state_struct)
-    streams.fill(seed, first_walk, out, first_draw)
 
 
 def _thresholds(params: SchemeParams) -> tuple[float, float, float]:
@@ -368,10 +357,13 @@ def _sweep(
     starts = range(0, n_walks, tile_walks)
     lock = threading.Lock()
     stop = threading.Event()
+    state_struct = _state_rekey_works()
 
     def sweep_tiles(first: int) -> None:
-        # One workspace serves every tile of this worker; the draw buffer
-        # becomes the position table once a tile's moves are read from it.
+        # One workspace and one generator serve every tile of this worker;
+        # the draw buffer becomes the position table once a tile's moves are
+        # read from it.
+        streams = _WalkStreams(state_struct)
         size = tile_walks * span
         draws = np.empty(size)
         dead = np.empty(size, dtype=bool)
@@ -389,7 +381,7 @@ def _sweep(
                 n = shape[0] * shape[1]
                 u = draws[:n].reshape(shape)
                 dd = dead[:n].reshape(shape)
-                _fill_uniforms(config.seed, lo, u, t0)
+                streams.fill(config.seed, lo, u, t0)
                 if t0 == 0:
                     slot = np.searchsorted(cdf, u[:, 0], side="right")
                 np.greater_equal(u, c3, out=dd)

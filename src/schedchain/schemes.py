@@ -124,8 +124,6 @@ class SchemePreset:
             raise DimensionError(
                 f"params describe m={self.params.m} slots but pb has {self.init.m}"
             )
-        if self.init.quantum != 0:
-            raise ConstraintError("preset start distributions live at quantum 0")
         if self.init.deadlock > ATOL:
             raise ConstraintError("presets start with zero deadlock mass")
         if self.scheme is SchemeId.IV and not _is_unit_on_first(self.init.processes):
@@ -166,6 +164,8 @@ def make_preset(
             raise ConstraintError(f"scheme {scheme.value} does not take {name!r} ({note})")
         if not 0.0 <= value <= 1.0:
             raise ConstraintError(f"{name} must be in [0, 1], got {value!r}")
+        # as a Python float: under NumPy 2 a float32 would keep the sum below in float32
+        given[name] = float(value)
     if free and len(given) != len(free) - 1:
         wanted = " or ".join(free) if len(free) == 2 else f"{len(free) - 1} of {free}"
         raise ConstraintError(
@@ -218,7 +218,8 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
 
     ``pb`` is the initial slot mass, array-like of length ``params.m``
     (:class:`DimensionError` otherwise); it is not checked to be a probability
-    vector.  Every count in ``ns`` must be non-negative (:class:`ParameterError`).
+    vector.  Every count in ``ns`` must be a non-negative integer within the
+    float range, of any integer or float dtype (:class:`ParameterError`).
 
     One quantum maps the slot mass ``x`` to ``s·x + p·roll(x, 1) + q·roll(x, -1)``,
     a circulant matrix, so after ``n`` quanta the slot mass is
@@ -235,9 +236,15 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
     holds ``1 - (1 - r)^n``: the slots and D share one survival factor, so
     rows sum to 1 even where ``p + s + q`` rounds to 1 while ``r > 0``.
     """
-    quanta = np.asarray(ns, dtype=float)  # exact below 2**53; rotations use the integers
-    if (quanta < 0.0).any():
-        raise ParameterError(f"quantum counts must be >= 0, got {quanta.min():g}")
+    counts = np.asarray(ns)
+    try:
+        quanta = counts.astype(float)  # exact below 2**53; rotations use the integers
+    except OverflowError:
+        raise ParameterError("quantum counts must be finite") from None
+    whole = (quanta >= 0.0) & (quanta < np.inf) & (np.floor(quanta) == quanta)
+    if not whole.all():
+        bad = quanta[~whole][0]
+        raise ParameterError(f"quantum counts must be integers >= 0, got {bad:g}")
     p, s, q, r = params.p, params.s, params.q, params.r
     m = params.m
     pb = np.asarray(pb, dtype=float)
@@ -258,9 +265,9 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
         if p == q:  # FIFO, or nothing left on the ring
             np.multiply(pb, alive[:, None], out=proc)
         else:
-            # reduced mod m the indices lie in (-m, m); negative ones count from the end
-            shifts = (np.asarray(ns) if q == 0.0 else -np.asarray(ns)) % m
-            np.multiply(pb[np.arange(m) - shifts[:, None]], alive[:, None], out=proc)
+            # reduced mod m before the sign is applied, so no count wraps a fixed-width integer
+            shifts = (counts % m).astype(np.intp) * (1 if q == 0.0 else -1)
+            np.multiply(pb[(np.arange(m) - shifts[:, None]) % m], alive[:, None], out=proc)
     else:
         # λ is the DFT of the step's first column, so one transform gives both
         # spectra; dividing by λ_0 = p + s + q leaves the walk on the ring, whose
@@ -288,7 +295,7 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
 
 
 def closed_form(preset: SchemePreset, n: int) -> Distribution:
-    """Evaluate the preset's quantum-``n`` distribution analytically.
+    """The preset's distribution after ``n`` quanta, evaluated analytically.
 
     The slot mass is ``IFFT(FFT(pb) · λ^n)`` over the eigenvalues of the
     one-quantum ring step (see :func:`closed_form_table`); FIFO, round robin
@@ -300,7 +307,7 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
     row is bit-identical to row ``n`` of :func:`closed_form_trajectory`.
     """
     n = _check_int(n, "quantum count", 0)
-    return Distribution(closed_form_table(preset.params, preset.pb, (n,))[0], quantum=n)
+    return Distribution(closed_form_table(preset.params, preset.pb, (n,))[0])
 
 
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:

@@ -58,6 +58,7 @@ def test_parse_args_mixture_run():
         [],
         ["run", "--scheme", "I_A", "--pb", "nan,1"],                  # NaN mass
         ["run", "--scheme", "I_A", "--pb", "nan,0.5,0.5"],
+        ["compare", "--preset", "I_B:r=0.1,r=0.5", "--pb", PB_ARG],   # r twice
     ],
 )
 def test_usage_errors_exit_2(argv):

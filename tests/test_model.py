@@ -93,7 +93,6 @@ def test_params_keep_exact_inputs():
 def test_distribution_basic():
     d = Distribution.from_process_probs(PB5)
     assert d.m == 5
-    assert d.quantum == 0
     assert d.deadlock == 0.0
     assert np.allclose(d.processes, PB5)
 
@@ -179,14 +178,12 @@ def test_step_leaves_deadlock_alone():
     mat = build_matrix(SchemeParams(0.3, 0.3, 0.2, 0.2, 4))
     dist = Distribution(np.array([0, 0, 0, 0, 1.0]))
     out = _one_step(dist, mat)
-    assert out.quantum == 1
     assert np.array_equal(out.probs, dist.probs)
 
 
 def test_step_identity_keeps_initial_mass():
     mat = build_matrix(SchemeParams(0.0, 1.0, 0.0, 0.0, 5))
     out = _one_step(Distribution.from_process_probs(PB5), mat)
-    assert out.quantum == 1
     assert np.allclose(out.processes, PB5, atol=1e-15)
 
 
@@ -222,13 +219,22 @@ def test_propagate_zero_steps():
     traj = propagate(init, build_matrix(SchemeParams(0.5, 0.5, 0.0, 0.0, 5)), 0)
     assert len(traj) == 1
     assert np.array_equal(traj[0].probs, init.probs)
-    assert traj[0].quantum == 0
 
 
-def test_propagate_requires_quantum_zero_start():
-    init = Distribution(np.append(PB5, 0.0), quantum=3)
-    with pytest.raises(ParameterError):
-        propagate(init, build_matrix(SchemeParams(0.5, 0.5, 0.0, 0.0, 5)), 2)
+@pytest.mark.parametrize(
+    "params",
+    [SchemeParams(0.4, 0.3, 0.2, 0.1, 5), SchemeParams(0.417, 0.417, 0.0, 0.166, 5)],
+    ids=["retreat", "mixture"],
+)
+def test_propagate_continues_from_any_row(params):
+    # a row of a trajectory starts a propagation like quantum 0 does, and
+    # continues the trajectory up to rounding
+    matrix = build_matrix(params)
+    n = 40
+    traj = propagate(Distribution.from_process_probs(PB5), matrix, n)
+    for k in (1, 7, 20, n):
+        rest = propagate(traj[k], matrix, n - k).rows
+        np.testing.assert_allclose(rest, traj.rows[k:], rtol=0.0, atol=1e-14)
 
 
 def test_propagate_fifo_with_hazard_two_steps():
@@ -237,7 +243,6 @@ def test_propagate_fifo_with_hazard_two_steps():
     traj = propagate(Distribution.from_process_probs(PB5), build_matrix(params), 2)
     assert traj[2].probs[0] == pytest.approx(0.18780012, abs=1e-12)
     assert traj[2].deadlock == pytest.approx(0.304444, abs=1e-12)
-    assert traj[2].quantum == 2
 
 
 def test_propagate_cycle_has_period_m():
@@ -394,7 +399,7 @@ def test_trajectory_invariants_enforced():
     high_d = [0.1, 0.2, 0.1, 0.6]
     traj = Trajectory(np.array([low_d, high_d]))
     assert len(traj) == 2 and traj.m == 3
-    assert traj[-1].quantum == 1
+    assert np.array_equal(traj[-1].probs, high_d)
     with pytest.raises(ParameterError):
         Trajectory(np.array([high_d, low_d]))  # deadlock mass may not fall
 
@@ -404,8 +409,9 @@ def test_trajectory_rows_are_read_only_views():
         Distribution.from_process_probs(PB5), build_matrix(SchemeParams(0.5, 0.5, 0.0, 0.0, 5)), 3
     )
     table = traj.to_array()
-    for n, row in enumerate(traj):
-        assert row.quantum == n
+    rows = list(traj)  # the sequence protocol, through traj[n]
+    assert len(rows) == len(traj) == 4
+    for n, row in enumerate(rows):
         assert np.shares_memory(row.probs, table)
         assert np.array_equal(row.probs, table[n])
         with pytest.raises(ValueError):

@@ -206,17 +206,17 @@ def test_worker_count_does_not_change_results(monkeypatch, budget, n_walks, n_qu
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2 if n_quanta < 100 else 1e-4}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks, seed=37)
     monkeypatch.setattr(mc, "_TILE_BUDGET", budget)
-    fill = mc._fill_uniforms
+    fill = mc._WalkStreams.fill
     fillers = set()
 
-    def recording_fill(*args, **kwargs):
+    def recording_fill(streams, *args):
         ident = threading.get_ident()
         if ident not in fillers and ident != threading.main_thread().ident:
             time.sleep(0.05)  # the helper starts late: it must still sweep its tiles
         fillers.add(ident)
-        fill(*args, **kwargs)
+        fill(streams, *args)
 
-    monkeypatch.setattr(mc, "_fill_uniforms", recording_fill)
+    monkeypatch.setattr(mc._WalkStreams, "fill", recording_fill)
     _two_workers(monkeypatch, False)
     one = mc._sweep(config, keep_traces=True)
     assert len(fillers) == 1
@@ -235,14 +235,14 @@ def test_worker_error_reaches_the_caller_and_threads_are_joined(monkeypatch, bad
     # the helper's
     monkeypatch.setattr(mc, "_TILE_BUDGET", 48)
     _two_workers(monkeypatch, True)
-    fill = mc._fill_uniforms
+    fill = mc._WalkStreams.fill
 
-    def failing_fill(seed, first_walk, out, first_draw=0):
+    def failing_fill(streams, seed, first_walk, out, first_draw):
         if first_walk <= bad_walk < first_walk + out.shape[0]:
             raise RuntimeError(f"walk {bad_walk} failed")
-        fill(seed, first_walk, out, first_draw)
+        fill(streams, seed, first_walk, out, first_draw)
 
-    monkeypatch.setattr(mc, "_fill_uniforms", failing_fill)
+    monkeypatch.setattr(mc._WalkStreams, "fill", failing_fill)
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=60, seed=41)
     before = threading.active_count()
@@ -286,9 +286,14 @@ def test_longer_horizon_extends_the_same_paths():
     assert np.array_equal(short, long[:, :11])
 
 
+def _fill(seed, first_walk, out, first_draw=0):
+    """Draws of consecutive walks, from a generator as a sweep worker builds it."""
+    mc._WalkStreams(mc._state_rekey_works()).fill(seed, first_walk, out, first_draw)
+
+
 def test_per_walk_streams_match_documented_keying():
     out = np.empty((4, 9))
-    mc._fill_uniforms(123, 50, out)
+    _fill(123, 50, out)
     for i in range(4):
         reference = np.random.Generator(np.random.Philox(key=(123 << 64) | (50 + i)))
         assert np.array_equal(out[i], reference.random(9))
@@ -296,16 +301,15 @@ def test_per_walk_streams_match_documented_keying():
 
 def test_streams_resume_at_multiples_of_four_draws():
     out = np.empty((3, 9))
-    mc._fill_uniforms(123, 50, out, first_draw=12)
+    _fill(123, 50, out, first_draw=12)
     for i in range(3):
         reference = np.random.Generator(np.random.Philox(key=(123 << 64) | (50 + i)))
         assert np.array_equal(out[i], reference.random(21)[12:])
 
 
 @pytest.fixture
-def fresh_rekey(monkeypatch):
-    """Forget the process's rekey self-check and this thread's generator."""
-    monkeypatch.setattr(mc, "_worker", threading.local())
+def fresh_rekey():
+    """Forget the process's rekey self-check."""
     mc._state_rekey_works.cache_clear()
     yield
     mc._state_rekey_works.cache_clear()
@@ -330,7 +334,7 @@ def test_both_rekey_paths_match_documented_keying(monkeypatch, fresh_rekey, reke
         _force_dict_rekey(monkeypatch, rekey)
     seed, first_walk = 2 ** 64 - 3, 2 ** 63 - 2  # both key words use their top bit
     out = np.empty((4, 7))
-    mc._fill_uniforms(seed, first_walk, out, first_draw)
+    _fill(seed, first_walk, out, first_draw)
     assert mc._state_rekey_works() is (rekey == "state-struct")
     for i in range(4):
         reference = np.random.Generator(np.random.Philox(key=(seed << 64) | (first_walk + i)))
@@ -342,7 +346,6 @@ def test_dict_rekey_fallback_gives_identical_runs(monkeypatch, fresh_rekey):
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=300, seed=43)
     fast = mc._sweep(config, keep_traces=True)
     _force_dict_rekey(monkeypatch, "error")
-    monkeypatch.setattr(mc, "_worker", threading.local())
     mc._state_rekey_works.cache_clear()
     slow = mc._sweep(config, keep_traces=True)
     assert not mc._state_rekey_works()
@@ -352,7 +355,7 @@ def test_dict_rekey_fallback_gives_identical_runs(monkeypatch, fresh_rekey):
 
 def test_rekey_self_check_runs_once_per_process(monkeypatch, fresh_rekey):
     monkeypatch.setattr(mc, "_TILE_BUDGET", 48)
-    _two_workers(monkeypatch, True)  # both threads build a generator at once
+    _two_workers(monkeypatch, True)  # each worker builds its own generator
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=60, seed=41)
     simulate(config)

@@ -60,6 +60,13 @@ def test_fifo_hazard_accepts_either_free_name():
     assert by_s.params.r == pytest.approx(0.166, abs=1e-15)
 
 
+def test_numpy_scalar_free_parameter_is_taken_as_its_float():
+    # under NumPy 2 promotion 1 - r of a float32 stays a float32, off unit mass
+    single = make_preset(SchemeId.I_B, {"r": np.float32(0.1)}, pb=PB5)
+    double = make_preset(SchemeId.I_B, {"r": float(np.float32(0.1))}, pb=PB5)
+    assert single.params == double.params
+
+
 @pytest.mark.parametrize(
     "scheme, free",
     [
@@ -128,7 +135,6 @@ def test_closed_form_rotation_one_quantum():
     out = closed_form(preset, 1)
     assert np.allclose(out.processes, (0.23, 0.27, 0.15, 0.17, 0.18), atol=1e-15)
     assert out.deadlock == 0.0
-    assert out.quantum == 1
 
 
 def test_closed_form_pinned_start_cycles():
@@ -181,6 +187,12 @@ def test_closed_form_rejects_negative_quantum():
     params = SchemeParams(0.4, 0.3, 0.2, 0.1, 5)
     with pytest.raises(ParameterError):
         closed_form_table(params, np.array(PB5), [0, -3])
+    # counts must be finite integers, on the spectral and the rotation branch
+    rotation = SchemeParams(1.0, 0.0, 0.0, 0.0, 5)
+    for bad in (1.5, np.nan, np.inf, 10**400):
+        for chain in (params, rotation):
+            with pytest.raises(ParameterError):
+                closed_form_table(chain, np.array(PB5), [0, bad])
     with pytest.raises(DimensionError):
         closed_form_table(params, np.array([0.5, 0.5, 0.0]), [0, 1])
     # any array-like pb is taken
@@ -345,8 +357,9 @@ def test_closed_form_rotates_exactly_at_huge_quantum_counts():
     forward = make_preset(SchemeId.II_A, {}, pb=PB5)
     backward = SchemeParams(0.0, 0.0, 1.0, 0.0, 5)
     # 10**10 + 3 would take seconds if the rotation were not reduced mod m
-    # first; 2**53 + 1 is not a float
-    for n in (10**10 + 3, 2**53 + 1):
+    # first; 2**53 + 1 is not a float; numpy holds 2**63 + 2 as a uint64 and
+    # 2**64 + 3 as a Python int, neither of which may wrap when negated
+    for n in (10**10 + 3, 2**53 + 1, 2**63 + 2, 2**64 + 3):
         start = time.perf_counter()
         assert np.array_equal(closed_form(forward, n).processes, np.roll(PB5, n % 5))
         assert time.perf_counter() - start < 1.0
