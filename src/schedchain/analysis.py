@@ -112,6 +112,8 @@ def metrics(trajectory: Trajectory, params: SchemeParams) -> SchemeMetrics:
     The expected absorption time is ``1/params.r``, infinite for ``r == 0``:
     the per-quantum deadlock hazard does not depend on the occupied slot.
     """
+    if params.m != trajectory.m:
+        raise DimensionError(f"trajectory has m={trajectory.m} but params have m={params.m}")
     survival = trajectory.survival()
 
     # fairness is 1 once no mass is left on the process slots; the Jain index

@@ -27,7 +27,6 @@ analysis engines and the JSON encoder load when a call first needs them.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 from dataclasses import dataclass, field
@@ -63,35 +62,28 @@ VERIFY_TOL = 1e-10
 _PARAM_NAMES = ("p", "s", "q", "r")
 _SCHEME_CHOICES = [scheme.value for scheme in SchemeId]
 
-#: Engine names bound in this module on first use, so that a call imports
-#: only the engines its subcommand runs: name here -> (module, name there).
-_LAZY = {
-    "compare_presets": ("analysis", "compare"),
-    "CENSORED": ("montecarlo", "CENSORED"),
-    "SimConfig": ("montecarlo", "SimConfig"),
-    "simulate": ("montecarlo", "simulate"),
-    "absorption_times": ("montecarlo", "absorption_times"),
-}
+
+# The executors look these three up in this module when they run, so a
+# function bound here in their place (a spy, a tracer's wrapper) is called.
+def simulate(config):
+    """Monte Carlo occupancy counts; the engine loads on the first call."""
+    from . import montecarlo
+
+    return montecarlo.simulate(config)
 
 
-def _load(module: str) -> None:
-    """Import an engine module and bind its ``_LAZY`` names here.
+def absorption_times(config):
+    """Monte Carlo first-deadlock times; the engine loads on the first call."""
+    from . import montecarlo
 
-    A name already bound keeps its binding, so a function patched or
-    wrapped here before the first call is the one the executors call.
-    """
-    engine = importlib.import_module(f".{module}", __package__)
-    bound = globals()
-    for name, (source, attr) in _LAZY.items():
-        if source == module:
-            bound.setdefault(name, getattr(engine, attr))
+    return montecarlo.absorption_times(config)
 
 
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_LAZY[name][0])
-    return globals()[name]
+def compare_presets(presets, horizon: int):
+    """Ranked scheme metrics; the analysis engine loads on the first call."""
+    from . import analysis
+
+    return analysis.compare(presets, horizon)
 
 
 class EngineDivergence(RuntimeError):
@@ -372,7 +364,8 @@ def _exec_closed_form(spec: RunSpec) -> Payload:
 
 
 def _exec_simulate(spec: RunSpec) -> Payload:
-    _load("montecarlo")
+    from .montecarlo import SimConfig
+
     params, init, _ = _resolve(spec)
     config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
     estimate = simulate(config)
@@ -382,7 +375,8 @@ def _exec_simulate(spec: RunSpec) -> Payload:
 
 
 def _exec_absorb(spec: RunSpec) -> Payload:
-    _load("montecarlo")
+    from .montecarlo import CENSORED, SimConfig
+
     params, init, _ = _resolve(spec)
     config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
     sample = absorption_times(config)
@@ -408,7 +402,6 @@ def _exec_absorb(spec: RunSpec) -> Payload:
 
 
 def _exec_compare(spec: RunSpec) -> Payload:
-    _load("analysis")
     presets = [
         make_preset(SchemeId(scheme), free or None, pb=spec.pb, m=spec.m)
         for scheme, free in spec.presets

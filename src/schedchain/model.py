@@ -21,6 +21,7 @@ share across threads; the operations are pure functions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,11 @@ def state_labels(m: int) -> list[str]:
     if m < 2:
         raise ParameterError(f"ring needs at least 2 slots, got m={m}")
     return [f"P{i}" for i in range(1, m + 1)] + ["D"]
+
+
+def _is_real(value) -> bool:
+    """True for a real number that is not a bool (``True`` is no probability)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_int(value, name: str, minimum: int) -> int:
@@ -135,8 +141,12 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_int(self.m, "m", 2))
-        probs = _stochastic([self.p, self.s, self.q, self.r], "move probabilities (p, s, q, r)", 1)
-        for name, value in zip(("p", "s", "q", "r"), probs):
+        given = {"p": self.p, "s": self.s, "q": self.q, "r": self.r}
+        for name, value in given.items():
+            if not _is_real(value):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
+        probs = _stochastic(list(given.values()), "move probabilities (p, s, q, r)", 1)
+        for name, value in zip(given, probs):
             object.__setattr__(self, name, float(value))
 
 

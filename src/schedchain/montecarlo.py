@@ -120,17 +120,22 @@ class OccupancyEstimate:
     n_walks: int
 
     def __post_init__(self) -> None:
+        n_walks = _check_int(self.n_walks, "n_walks", 1)
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.flags.writeable:
             counts = counts.copy()
             counts.flags.writeable = False
         if counts.ndim != 2:
             raise DimensionError("counts must be a (quanta + 1) x (m + 1) matrix")
-        # row sums in blocks, so a long horizon needs no horizon-sized temporary
+        # checked in row blocks, so a long horizon needs no horizon-sized temporary
         for lo in range(0, counts.shape[0], _TILE_BUDGET):
-            if np.any(counts[lo : lo + _TILE_BUDGET].sum(axis=1) != self.n_walks):
+            block = counts[lo : lo + _TILE_BUDGET]
+            if np.minimum.reduce(block, axis=None, initial=0) < 0:
+                raise ParameterError("counts must be non-negative")
+            if np.any(block.sum(axis=1) != n_walks):
                 raise ParameterError("every counts row must sum to n_walks")
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n_walks", n_walks)
 
     @property
     def n_quanta(self) -> int:
@@ -154,11 +159,19 @@ class AbsorptionSample:
     horizon: int
 
     def __post_init__(self) -> None:
-        hits = np.array(self.first_hit, dtype=np.int64)
+        horizon = _check_int(self.horizon, "horizon", 0)
+        hits = np.asarray(self.first_hit)
         if hits.ndim != 1 or hits.size == 0:
             raise DimensionError("first_hit must be a non-empty vector")
+        # CENSORED is -1, so [CENSORED, horizon] holds it and the quanta 0..horizon
+        if hits.dtype.kind not in "iu" or hits.min() < CENSORED or hits.max() > horizon:
+            raise ParameterError(
+                f"first_hit must hold integers in [0, {horizon}] or CENSORED ({CENSORED})"
+            )
+        hits = hits.astype(np.int64)
         hits.flags.writeable = False
         object.__setattr__(self, "first_hit", hits)
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def n_walks(self) -> int:

@@ -52,6 +52,7 @@ from .model import (
     SchemeParams,
     Trajectory,
     _check_int,
+    _is_real,
 )
 
 __all__ = [
@@ -162,6 +163,8 @@ def make_preset(
             raise ConstraintError(f"unknown move probability {name!r}")
         if name in pinned:
             raise ConstraintError(f"scheme {scheme.value} does not take {name!r} ({note})")
+        if not _is_real(value):
+            raise ConstraintError(f"{name} must be a real number, got {value!r}")
         if not 0.0 <= value <= 1.0:
             raise ConstraintError(f"{name} must be in [0, 1], got {value!r}")
         # as a Python float: under NumPy 2 a float32 would keep the sum below in float32

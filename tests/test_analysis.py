@@ -78,6 +78,12 @@ def test_metrics_fifo_with_hazard_first_quantum():
     assert mx.expected_absorption == pytest.approx(1 / 0.166, abs=1e-12)
 
 
+def test_metrics_rejects_params_of_another_ring():
+    preset = make_preset(SchemeId.III_A, {"p": 0.5}, pb=(0.2, 0.3, 0.5))
+    with pytest.raises(DimensionError):
+        metrics(_trajectory(preset, 3), SchemeParams(0.5, 0.5, 0.0, 0.0, 2))
+
+
 def test_metrics_deadlock_free_scheme():
     preset = make_preset(SchemeId.III_A, {"p": 0.5}, pb=PB5)
     mx = metrics(_trajectory(preset, 20), preset.params)

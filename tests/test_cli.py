@@ -345,22 +345,44 @@ def test_output_file_and_io_failure(tmp_path, capsys):
 # start-up cost
 
 
-def test_cli_import_leaves_scipy_unloaded():
+_MC_ARGS = ["--scheme", "I_B", "--r", "0.2", "--pb", "0.5,0.5", "--quanta", "3", "--walks", "20"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, unloaded",
+    [
+        pytest.param(["run", "--scheme", "I_B", "--r", "0.1", "--pb", "0.5,0.5", "--quanta", "2"],
+                     [], ["numpy.random", "numpy.fft"], id="run"),
+        pytest.param(["simulate", *_MC_ARGS], ["schedchain.montecarlo", "numpy.random"],
+                     ["schedchain.analysis"], id="simulate"),
+        pytest.param(["absorb", *_MC_ARGS], ["schedchain.montecarlo", "numpy.random"],
+                     ["schedchain.analysis"], id="absorb"),
+        pytest.param(["compare", "--preset", "I_B:r=0.2", "--pb", "0.5,0.5", "--quanta", "3"],
+                     ["schedchain.analysis"], ["schedchain.montecarlo", "numpy.random"],
+                     id="compare"),
+        pytest.param(["closed-form", "--scheme", "I_B", "--r", "0.2", "--pb", "0.5,0.5",
+                      "--quanta", "3", "--format", "json"], ["json"], [], id="closed-form-json"),
+        pytest.param(["run", "--scheme", "III_A", "--p", "0.5", "--pb", "0.5,0.5", "--quanta", "3",
+                      "--verify"], ["numpy.fft"], [], id="run-verify-mixture"),
+    ],
+)
+def test_cli_import_leaves_scipy_unloaded(argv, loaded, unloaded):
     # importing the CLI loads neither scipy nor the engines and the JSON
-    # encoder a subcommand may never use, and a run without --verify loads
-    # neither numpy.random nor numpy.fft
+    # encoder a subcommand may never use; a call loads the modules its
+    # subcommand runs and not the others (a run without --verify loads
+    # neither numpy.random nor numpy.fft)
+    watched = sorted({*loaded, *unloaded})
     code = (
         "import sys, schedchain.cli\n"
         "print(sorted({'scipy', 'schedchain.montecarlo', 'schedchain.analysis', 'json'}"
         " & set(sys.modules)))\n"
-        "schedchain.cli.main(['run', '--scheme', 'I_B', '--r', '0.1', '--pb', '0.5,0.5',"
-        " '--quanta', '2', '--output', sys.argv[1]])\n"
-        "print(sorted({'numpy.random', 'numpy.fft'} & set(sys.modules)))\n"
+        f"assert schedchain.cli.main({argv!r} + ['--output', sys.argv[1]]) == 0\n"
+        f"print(sorted(set({watched!r}) & set(sys.modules)))\n"
     )
     child = subprocess.run(
         [sys.executable, "-c", code, os.devnull], capture_output=True, text=True, check=True
     )
-    assert child.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert child.stdout.split("\n")[:2] == ["[]", repr(sorted(loaded))]
 
 
 @pytest.mark.parametrize(

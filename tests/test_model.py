@@ -73,6 +73,12 @@ def test_params_rejected(p, s, q, r, m):
         SchemeParams(p, s, q, r, m)
 
 
+@pytest.mark.parametrize("p, s", [(True, 0), (np.True_, 0), ("a", 1)], ids=["bool", "numpy-bool", "str"])
+def test_params_must_be_real_numbers(p, s):
+    with pytest.raises(ParameterError):
+        SchemeParams(p, s, 0, 0, 2)
+
+
 def test_params_absorb_tiny_drift_but_reject_real_drift():
     params = SchemeParams(0.25 + 1e-10, 0.25, 0.25, 0.25, 4)
     assert abs(params.p + params.s + params.q + params.r - 1.0) <= ATOL

@@ -61,6 +61,40 @@ def test_config_dimension_mismatch():
         SimConfig(params, init, n_quanta=5, n_walks=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "counts, n_walks",
+    [
+        (np.zeros((2, 3), dtype=np.int64), 0),  # no walks to normalize by
+        (np.array([[-1, 2, 0]]), 1),  # a negative count in a row of the right sum
+    ],
+    ids=["no-walks", "negative-count"],
+)
+def test_occupancy_estimate_rejects_inconsistent_counts(counts, n_walks):
+    with pytest.raises(ParameterError):
+        mc.OccupancyEstimate(counts, n_walks)
+
+
+@pytest.mark.parametrize(
+    "first_hit, horizon",
+    [
+        ([5, -7, 3], -2),  # a negative horizon
+        ([5, -7, 3], 6),  # -7 is neither a quantum nor CENSORED
+        ([0, 6], 5),  # a hit past the horizon
+        ([1.7], 5),  # a fractional hit
+    ],
+    ids=["negative-horizon", "below-censored", "past-horizon", "fractional"],
+)
+def test_absorption_sample_rejects_inconsistent_hits(first_hit, horizon):
+    with pytest.raises(ParameterError):
+        mc.AbsorptionSample(first_hit, horizon)
+
+
+def test_absorption_sample_takes_hits_from_zero_to_the_horizon():
+    sample = mc.AbsorptionSample([0, 5, CENSORED], 5)
+    assert sample.n_censored == 1
+    assert sample.mean_first_hit == 2.5
+
+
 # ---------------------------------------------------------------------------
 # degenerate chains
 

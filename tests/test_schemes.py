@@ -84,6 +84,12 @@ def test_bad_free_parameters_rejected(scheme, free):
         make_preset(scheme, free, pb=PB5)
 
 
+@pytest.mark.parametrize("value", [True, np.True_, "0.5"], ids=["bool", "numpy-bool", "str"])
+def test_free_parameter_must_be_a_real_number(value):
+    with pytest.raises(ConstraintError):
+        make_preset(SchemeId.I_B, {"r": value}, pb=(0.5, 0.5))
+
+
 def test_mixture_with_hazard_completes_third_parameter():
     preset = make_preset(SchemeId.III_B, {"p": 0.417, "r": 0.166}, pb=PB5)
     assert preset.params.s == pytest.approx(0.417, abs=1e-12)
