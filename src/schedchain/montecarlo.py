@@ -66,7 +66,7 @@ _TILE_BUDGET = 1 << 16
 #: Philox stream of every walk holding the GIL, so on tiles of shorter walks
 #: the two workers mostly wait for each other: measured on 2 vCPUs with the
 #: state-struct rekey, two workers were slower at 800 quanta and faster from
-#: 1000 on (with the dict setter the crossing was near 2000).
+#: 1000 on.
 _PARALLEL_SPAN = 1000
 
 
@@ -125,8 +125,10 @@ class OccupancyEstimate:
         if counts.flags.writeable:
             counts = counts.copy()
             counts.flags.writeable = False
-        if counts.ndim != 2:
-            raise DimensionError("counts must be a (quanta + 1) x (m + 1) matrix")
+        if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] < 3:
+            raise DimensionError(
+                "counts must be a (quanta + 1) x (m + 1) matrix with m >= 2"
+            )
         # checked in row blocks, so a long horizon needs no horizon-sized temporary
         for lo in range(0, counts.shape[0], _TILE_BUDGET):
             block = counts[lo : lo + _TILE_BUDGET]
@@ -225,10 +227,10 @@ class _WalkStreams:
     Each sweep worker builds its own, so no generator is shared between
     threads.  With ``state_struct`` (pass :func:`_state_rekey_works`)
     rekeying writes the key, the counter and ``buffer_pos`` straight into
-    the generator's state struct; otherwise it goes through the ``state``
-    dict setter.  Measured on a 2-vCPU Xeon VM, a fill of four draws a walk
-    takes 1.5 us a walk through the struct and 3.6 us through the setter,
-    where building a Philox for each walk takes 22 us.
+    the generator's state struct; otherwise each walk gets the documented
+    ``Philox(key=..., counter=...)``.  Measured on a 2-vCPU Xeon VM, a fill
+    of four draws a walk takes about 1.2 us a walk through the struct and
+    19 us through the constructor.
     """
 
     def __init__(self, state_struct: bool):
@@ -244,23 +246,17 @@ class _WalkStreams:
         ``random(first_draw + out.shape[1])[first_draw:]``.  Philox is counter
         based and makes draws in fours, so setting the counter to ``k``
         resumes a stream at draw ``4k`` without computing the draws before
-        it; ``first_draw`` must be a multiple of 4.
+        it; ``first_draw`` must be a multiple of 4.  Without the state
+        struct, each row gets a Philox built with its walk's key and
+        ``counter=first_draw // 4``.
         """
-        random = self.random
         block = first_draw // 4
         if self.views is None:
-            state = self.bg.state
-            key = state["state"]["key"]
-            counter = state["state"]["counter"]
-            key[1] = seed
-            counter[:] = 0
-            counter[0] = block
             for i, row in enumerate(out):
-                key[0] = first_walk + i
-                state["buffer_pos"] = 4
-                self.bg.state = state
-                random(out=row)
+                bg = np.random.Philox(key=(seed << 64) | (first_walk + i), counter=block)
+                np.random.Generator(bg).random(out=row)
             return
+        random = self.random
         key, counter, buffer_pos = self.views
         key[1] = seed
         for i, row in enumerate(out):
@@ -272,7 +268,7 @@ class _WalkStreams:
 
 @functools.cache
 def _state_rekey_works() -> bool:
-    """Whether keying a walk through the state struct gives the dict setter's draws.
+    """Whether keying a walk through the state struct gives its documented stream.
 
     Runs once per process, before any sweep worker starts, so the cache
     needs no lock; any error counts as a mismatch.  Nothing is
@@ -290,10 +286,10 @@ def _state_rekey_works() -> bool:
         if (list(key), list(counter), buffer_pos.value) != ([walk, seed], [2, 0, 0, 0], 4):
             return False
         via_struct = np.empty((1, 8))
-        via_dict = np.empty((1, 8))
+        documented = np.empty((1, 8))
         _WalkStreams(True).fill(seed, walk, via_struct, 8)
-        _WalkStreams(False).fill(seed, walk, via_dict, 8)
-        return np.array_equal(via_struct, via_dict)
+        _WalkStreams(False).fill(seed, walk, documented, 8)
+        return np.array_equal(via_struct, documented)
     except Exception:
         return False
 

@@ -59,6 +59,8 @@ def test_jain_rejects_bad_shares():
         jain_fairness([0.0, 0.0])
     with pytest.raises(ParameterError):
         jain_fairness([0.5, -0.5])
+    with pytest.raises(DimensionError):
+        jain_fairness([])
     for bad in (math.nan, math.inf):
         with pytest.raises(ParameterError):
             jain_fairness([bad, 1.0])

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import schedchain.cli as cli
+from schedchain import ParameterError
 from schedchain.cli import RunSpec, execute, main, parse_args, render_csv
 
 PB_ARG = "0.27,0.15,0.17,0.18,0.23"
@@ -59,6 +60,15 @@ def test_parse_args_mixture_run():
         ["run", "--scheme", "I_A", "--pb", "nan,1"],                  # NaN mass
         ["run", "--scheme", "I_A", "--pb", "nan,0.5,0.5"],
         ["compare", "--preset", "I_B:r=0.1,r=0.5", "--pb", PB_ARG],   # r twice
+        ["run", "--scheme", "I_A", "--pb=-0.5,1.5"],                  # negative mass
+        ["compare", "--preset", "NOPE", "--pb", PB_ARG],              # unknown scheme
+        ["compare", "--preset", "I_B:r", "--pb", PB_ARG],             # no value
+        ["compare", "--preset", "I_B:r=x", "--pb", PB_ARG],           # not a number
+        ["run", "--scheme", "IV", "--m", "1"],                        # m == 1
+        ["run", "--scheme", "I_A", "--pb", "0.5,0.5", "--m", "3"],    # m != len(pb)
+        ["run", "--scheme", "I_A", "--pb", PB_ARG, "--quanta", "-1"],
+        ["simulate", "--scheme", "I_A", "--pb", PB_ARG, "--quanta", "0"],
+        ["compare", "--preset", "I_B:r=0.2", "--pb", PB_ARG, "--quanta", "0"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -79,6 +89,14 @@ def test_missing_pb_for_scheme_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--scheme", "I_A", "--quanta", "5")
     assert code == 2
     assert "pb" in err
+    code, _, err = run_cli(capsys, "run", "--p", "0.5", "--s", "0.5")  # a raw run
+    assert code == 2
+    assert "--pb" in err
+
+
+def test_unknown_command_is_a_parameter_error():
+    with pytest.raises(ParameterError):
+        execute(RunSpec(command="nope"))
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +189,33 @@ def test_simulate_is_byte_identical_across_runs(capsys):
     assert out1 == out2
 
 
-def test_json_meta_round_trips_byte_identically(capsys):
-    argv = [
-        "simulate", "--scheme", "II_B", "--p", "0.834", "--pb", PB_ARG,
-        "--quanta", "8", "--walks", "4000", "--seed", "77", "--format", "json",
-    ]
-    code, out, _ = run_cli(capsys, *argv)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "simulate", "--scheme", "II_B", "--p", "0.834", "--pb", PB_ARG,
+            "--quanta", "8", "--walks", "4000", "--seed", "77",
+        ],
+        [
+            "compare", "--preset", "I_B:r=0.166", "--preset", "II_B:r=0.166",
+            "--preset", "III_B:p=0.417,r=0.166", "--pb", PB_ARG, "--quanta", "50",
+        ],
+        ["compare", "--preset", "IV", "--m", "4"],
+        [
+            "absorb", "--scheme", "I_B", "--r", "0.166", "--pb", PB_ARG,
+            "--quanta", "200", "--walks", "2000", "--seed", "42",
+        ],
+        ["closed-form", "--scheme", "IV", "--m", "3"],
+        [
+            "simulate", "--p", "0.4", "--s", "0.3", "--q", "0.2", "--r", "0.1",
+            "--pb", "0.25,0.25,0.25,0.25", "--quanta", "9", "--walks", "500",
+            "--seed", str(2 ** 64 - 59),
+        ],
+    ],
+    ids=["simulate", "compare", "compare-IV", "absorb", "closed-form-IV", "raw-simulate"],
+)
+def test_json_meta_round_trips_byte_identically(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     meta = json.loads(out)["meta"]
     respec = RunSpec.from_meta(meta)

@@ -116,6 +116,11 @@ def test_distribution_rejected(probs):
         Distribution(np.asarray(probs))
 
 
+def test_distribution_from_process_probs_needs_a_vector():
+    with pytest.raises(DimensionError):
+        Distribution.from_process_probs([[0.5, 0.5]])
+
+
 def test_distribution_is_immutable():
     d = Distribution.from_process_probs(PB5)
     with pytest.raises(ValueError):
@@ -222,9 +227,12 @@ def test_step_dimension_mismatch():
 
 def test_propagate_zero_steps():
     init = Distribution.from_process_probs(PB5)
-    traj = propagate(init, build_matrix(SchemeParams(0.5, 0.5, 0.0, 0.0, 5)), 0)
+    matrix = build_matrix(SchemeParams(0.5, 0.5, 0.0, 0.0, 5))
+    traj = propagate(init, matrix, 0)
     assert len(traj) == 1
     assert np.array_equal(traj[0].probs, init.probs)
+    with pytest.raises(ParameterError):
+        propagate(init, matrix, 2.0)
 
 
 @pytest.mark.parametrize(

@@ -62,30 +62,36 @@ def test_config_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
-    "counts, n_walks",
+    "counts, n_walks, exc",
     [
-        (np.zeros((2, 3), dtype=np.int64), 0),  # no walks to normalize by
-        (np.array([[-1, 2, 0]]), 1),  # a negative count in a row of the right sum
+        (np.zeros((2, 3), dtype=np.int64), 0, ParameterError),  # no walks to normalize by
+        # a negative count in a row of the right sum
+        (np.array([[-1, 2, 0]]), 1, ParameterError),
+        (np.array([[1, 0, 0], [0, 2, 0]]), 1, ParameterError),  # a row of another sum
+        (np.zeros((0, 3), dtype=np.int64), 1, DimensionError),  # no quantum 0
+        (np.ones((2, 1), dtype=np.int64), 1, DimensionError),  # no slot, only D
+        (np.array([[1, 0], [1, 0]]), 1, DimensionError),  # one slot plus D
     ],
-    ids=["no-walks", "negative-count"],
+    ids=["no-walks", "negative-count", "row-sum", "no-rows", "one-column", "two-columns"],
 )
-def test_occupancy_estimate_rejects_inconsistent_counts(counts, n_walks):
-    with pytest.raises(ParameterError):
+def test_occupancy_estimate_rejects_inconsistent_counts(counts, n_walks, exc):
+    with pytest.raises(exc):
         mc.OccupancyEstimate(counts, n_walks)
 
 
 @pytest.mark.parametrize(
-    "first_hit, horizon",
+    "first_hit, horizon, exc",
     [
-        ([5, -7, 3], -2),  # a negative horizon
-        ([5, -7, 3], 6),  # -7 is neither a quantum nor CENSORED
-        ([0, 6], 5),  # a hit past the horizon
-        ([1.7], 5),  # a fractional hit
+        ([5, -7, 3], -2, ParameterError),  # a negative horizon
+        ([5, -7, 3], 6, ParameterError),  # -7 is neither a quantum nor CENSORED
+        ([0, 6], 5, ParameterError),  # a hit past the horizon
+        ([1.7], 5, ParameterError),  # a fractional hit
+        (np.empty(0, dtype=np.int64), 5, DimensionError),  # no walks
     ],
-    ids=["negative-horizon", "below-censored", "past-horizon", "fractional"],
+    ids=["negative-horizon", "below-censored", "past-horizon", "fractional", "empty"],
 )
-def test_absorption_sample_rejects_inconsistent_hits(first_hit, horizon):
-    with pytest.raises(ParameterError):
+def test_absorption_sample_rejects_inconsistent_hits(first_hit, horizon, exc):
+    with pytest.raises(exc):
         mc.AbsorptionSample(first_hit, horizon)
 
 
@@ -349,7 +355,7 @@ def fresh_rekey():
     mc._state_rekey_works.cache_clear()
 
 
-def _force_dict_rekey(monkeypatch, how):
+def _force_fallback_rekey(monkeypatch, how):
     if how == "error":
         def broken(bg):
             raise RuntimeError("no state struct")
@@ -365,7 +371,7 @@ def _force_dict_rekey(monkeypatch, how):
 @pytest.mark.parametrize("first_draw", [0, 8, 12])
 def test_both_rekey_paths_match_documented_keying(monkeypatch, fresh_rekey, rekey, first_draw):
     if rekey != "state-struct":
-        _force_dict_rekey(monkeypatch, rekey)
+        _force_fallback_rekey(monkeypatch, rekey)
     seed, first_walk = 2 ** 64 - 3, 2 ** 63 - 2  # both key words use their top bit
     out = np.empty((4, 7))
     _fill(seed, first_walk, out, first_draw)
@@ -379,12 +385,33 @@ def test_dict_rekey_fallback_gives_identical_runs(monkeypatch, fresh_rekey):
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=300, seed=43)
     fast = mc._sweep(config, keep_traces=True)
-    _force_dict_rekey(monkeypatch, "error")
+    _force_fallback_rekey(monkeypatch, "error")
     mc._state_rekey_works.cache_clear()
     slow = mc._sweep(config, keep_traces=True)
     assert not mc._state_rekey_works()
     for name, a, b in zip(("counts", "first_hit", "traces"), fast, slow):
         assert np.array_equal(a, b), name
+
+
+def test_fallback_needs_no_state_dict(monkeypatch, fresh_rekey):
+    # the fallback builds each walk's Philox, so a generator whose ``state``
+    # property is unusable still gives every walk its stream
+    preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
+    config = SimConfig.from_preset(preset, n_quanta=15, n_walks=300, seed=43)
+    counts = simulate(config).counts
+    first_hit = absorption_times(config).first_hit
+
+    class NoStatePhilox(np.random.Philox):
+        @property
+        def state(self):
+            raise RuntimeError("no state dict")
+
+    _force_fallback_rekey(monkeypatch, "error")
+    monkeypatch.setattr(np.random, "Philox", NoStatePhilox)
+    mc._state_rekey_works.cache_clear()
+    assert np.array_equal(simulate(config).counts, counts)
+    assert np.array_equal(absorption_times(config).first_hit, first_hit)
+    assert not mc._state_rekey_works()
 
 
 def test_rekey_self_check_runs_once_per_process(monkeypatch, fresh_rekey):

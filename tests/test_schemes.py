@@ -132,6 +132,19 @@ def test_preset_rejects_initial_deadlock_mass():
         SchemePreset(SchemeId.I_A, params, tainted)
 
 
+@pytest.mark.parametrize(
+    "params, exc",
+    [
+        (SchemeParams(0.5, 0.5, 0.0, 0.0, 5), ConstraintError),  # I_A pins p = 0
+        (SchemeParams(0.0, 1.0, 0.0, 0.0, 4), DimensionError),  # pb has five slots
+    ],
+    ids=["pinned-value", "ring-size"],
+)
+def test_preset_built_directly_checks_its_params(params, exc):
+    with pytest.raises(exc):
+        SchemePreset(SchemeId.I_A, params, Distribution.from_process_probs(PB5))
+
+
 # ---------------------------------------------------------------------------
 # closed forms against frozen values
 
