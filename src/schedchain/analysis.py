@@ -21,7 +21,6 @@ import numpy as np
 from .model import (
     DimensionError,
     ParameterError,
-    Distribution,
     SchemeParams,
     Trajectory,
     build_matrix,
@@ -133,7 +132,6 @@ class SchemeComparison:
 
     scheme: SchemeId
     params: SchemeParams
-    init: Distribution
     metrics: SchemeMetrics
 
 
@@ -151,7 +149,6 @@ class ComparisonReport:
 
     entries: tuple[SchemeComparison, ...]
     ranking: tuple[int, ...]
-    horizon: int
 
     @property
     def ranked_schemes(self) -> tuple[SchemeId, ...]:
@@ -175,9 +172,7 @@ def compare(presets: Iterable[SchemePreset], horizon: int) -> ComparisonReport:
     for preset in presets:
         trajectory = propagate(preset.init, build_matrix(preset.params), horizon)
         entries.append(
-            SchemeComparison(
-                preset.scheme, preset.params, preset.init, metrics(trajectory, preset.params)
-            )
+            SchemeComparison(preset.scheme, preset.params, metrics(trajectory, preset.params))
         )
 
     final = [float(entry.metrics.efficiency_index[horizon]) for entry in entries]
@@ -189,4 +184,4 @@ def compare(presets: Iterable[SchemePreset], horizon: int) -> ComparisonReport:
         pick = min(tied, key=lambda i: (_SCHEME_ORDER[entries[i].scheme], i))
         ranking.append(pick)
         remaining.remove(pick)
-    return ComparisonReport(tuple(entries), tuple(ranking), horizon)
+    return ComparisonReport(tuple(entries), tuple(ranking))

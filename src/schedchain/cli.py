@@ -16,9 +16,9 @@ that can be fed back through ``RunSpec.from_meta`` to reproduce the run
 byte for byte.  The output destination is not part of ``meta``.
 
 Exit codes: 0 success, 1 engine cross-check divergence (``--verify``),
-2 usage error (also a horizon too large to allocate), 3 scheme constraint
-violation, 4 output I/O failure (standard output is flushed before exit
-code 4 is decided).
+2 usage error (also a horizon, ring or walk count too large to allocate),
+3 scheme constraint violation, 4 output I/O failure (standard output is
+flushed before exit code 4 is decided).
 
 Only ``model`` and ``schemes`` load with this module; the Monte Carlo and
 analysis engines and the JSON encoder load when a call first needs them.
@@ -379,9 +379,11 @@ def _exec_absorb(spec: RunSpec) -> Payload:
 
     params, init, _ = _resolve(spec)
     config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
+    # allocated before the sweep, so a horizon too large for it fails at once
+    histogram = np.zeros(spec.quanta + 1, dtype=np.int64)
     sample = absorption_times(config)
-    observed = sample.first_hit[sample.first_hit != CENSORED]
-    histogram = np.bincount(observed, minlength=spec.quanta + 1)
+    hits = np.bincount(sample.first_hit[sample.first_hit != CENSORED])
+    histogram[: hits.size] = hits
     rows = [[n, int(c)] for n, c in enumerate(histogram)]
     rows.append([CENSORED, sample.n_censored])
     mean = sample.mean_first_hit
@@ -447,12 +449,27 @@ _EXECUTORS = {
 }
 
 
+def _check_sizes(spec: RunSpec) -> None:
+    """Reject sizes whose arrays numpy cannot even index.
+
+    Every command holds a ``(quanta + 1) x (m + 1)`` table of 8-byte numbers,
+    and the Monte Carlo commands 8 bytes a walk.  numpy refuses an array of
+    more than ``sys.maxsize`` bytes with a ValueError, not a MemoryError.
+    """
+    m = spec.m if spec.m is not None else len(spec.pb) if spec.pb is not None else 2
+    if 8 * (spec.quanta + 1) * (m + 1) > sys.maxsize:
+        raise MemoryError(f"a {spec.quanta + 1} x {m + 1} table is too large to allocate")
+    if 8 * (spec.walks or 0) > sys.maxsize:
+        raise MemoryError(f"{spec.walks} walks are too many to allocate")
+
+
 def execute(spec: RunSpec) -> Payload:
     """Run the engines for a spec and return the emission payload."""
     try:
         executor = _EXECUTORS[spec.command]
     except KeyError:
         raise ParameterError(f"unknown command {spec.command!r}") from None
+    _check_sizes(spec)
     return executor(spec)
 
 

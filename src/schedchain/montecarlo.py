@@ -47,7 +47,6 @@ __all__ = [
     "AbsorptionSample",
     "simulate",
     "absorption_times",
-    "walk_traces",
 ]
 
 #: Marker used in first-hit arrays for walks never absorbed within the horizon.
@@ -304,9 +303,9 @@ def _thresholds(params: SchemeParams) -> tuple[float, float, float]:
 
 
 def _sweep(
-    config: SimConfig, keep_traces: bool = False, hits_only: bool = False
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """Evolve all walks; return (counts, first_hit, traces or None).
+    config: SimConfig, hits_only: bool = False
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Evolve all walks; return (counts, first_hit).
 
     With ``hits_only`` the walks' positions are never formed and ``counts``
     is None: a first hit depends only on the deadlock draws and the start
@@ -328,10 +327,10 @@ def _sweep(
     On a host with more than one CPU, tiles of at least
     :data:`_PARALLEL_SPAN` quanta are shared by the calling thread and one
     helper thread, alternately; a walk's time blocks stay with one worker.
-    Workers write disjoint walks of ``first_hit`` and the traces and add
-    their tallies to ``counts`` under a lock, and each keeps to half the
-    budget in time blocks.  Neither tiling nor the worker count changes the
-    draws a walk sees, so every budget gives the same arrays.
+    Workers write disjoint walks of ``first_hit`` and add their tallies to
+    ``counts`` under a lock, and each keeps to half the budget in time
+    blocks.  Neither tiling nor the worker count changes the draws a walk
+    sees, so every budget gives the same arrays.
     """
     m = config.params.m
     n_walks = config.n_walks
@@ -343,7 +342,6 @@ def _sweep(
 
     counts = None if hits_only else np.zeros((n_cols, m + 1), dtype=np.int64)
     first_hit = np.full(n_walks, CENSORED, dtype=np.int64)
-    traces = np.empty((n_walks, n_cols), dtype=np.int64) if keep_traces else None
 
     whole = n_cols <= _TILE_BUDGET
     tile_walks = min(n_walks, _TILE_BUDGET // n_cols) if whole else 1
@@ -424,8 +422,6 @@ def _sweep(
                 state = np.take(ring, pos, out=pos, mode="clip")
                 slot = state[-1].copy()
 
-                if traces is not None:
-                    traces[lo:hi, t0:t1] = state.T
                 for g0 in range(0, shape[1], group):
                     g1 = min(g0 + group, shape[1])
                     cells = state[g0:g1]
@@ -436,7 +432,7 @@ def _sweep(
 
     if workers == 1:
         sweep_tiles(0)
-        return counts, first_hit, traces
+        return counts, first_hit
 
     errors: list[BaseException] = []
 
@@ -457,7 +453,7 @@ def _sweep(
         thread.join()
     if errors:
         raise errors[0]
-    return counts, first_hit, traces
+    return counts, first_hit
 
 
 def simulate(config: SimConfig) -> OccupancyEstimate:
@@ -466,7 +462,7 @@ def simulate(config: SimConfig) -> OccupancyEstimate:
     Deterministic: the same config (including seed) always yields the same
     counts, regardless of tiling or execution order.
     """
-    counts, _, _ = _sweep(config)
+    counts, _ = _sweep(config)
     counts.flags.writeable = False
     return OccupancyEstimate(counts, config.n_walks)
 
@@ -478,16 +474,6 @@ def absorption_times(config: SimConfig) -> AbsorptionSample:
     config describe the same set of walks.  With ``r == 0`` every walk is
     censored.
     """
-    _, first_hit, _ = _sweep(config, hits_only=True)
+    _, first_hit = _sweep(config, hits_only=True)
     return AbsorptionSample(first_hit, config.n_quanta)
 
-
-def walk_traces(config: SimConfig) -> np.ndarray:
-    """Full per-walk state paths, ``(n_walks, n_quanta + 1)``, for debugging.
-
-    States are 0-based vector positions (``m`` is deadlock).  Unlike the
-    other views, the output itself grows with ``n_walks * n_quanta`` (8
-    bytes a cell); intended for small diagnostic runs.
-    """
-    _, _, traces = _sweep(config, keep_traces=True)
-    return traces

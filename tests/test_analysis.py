@@ -162,7 +162,9 @@ def test_compare_prefers_even_initial_mass():
     lopsided = make_preset(SchemeId.I_A, {}, pb=[1.0, 0.0, 0.0, 0.0, 0.0])
     report = compare([lopsided, uniform], 10)
     assert report.ranking[0] == 1
-    assert report.entries[report.ranking[0]].init.probs[0] == 0.2
+    top = report.entries[report.ranking[0]]
+    # the uniform pb, whose Jain fairness is 1 up to the rounding of 0.2
+    assert top.metrics.fairness[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_compare_singleton():

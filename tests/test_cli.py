@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import schedchain.cli as cli
-from schedchain import ParameterError
+from schedchain import DimensionError, ParameterError
 from schedchain.cli import RunSpec, execute, main, parse_args, render_csv
 
 PB_ARG = "0.27,0.15,0.17,0.18,0.23"
@@ -94,9 +94,21 @@ def test_missing_pb_for_scheme_exits_2(capsys):
     assert "--pb" in err
 
 
-def test_unknown_command_is_a_parameter_error():
-    with pytest.raises(ParameterError):
-        execute(RunSpec(command="nope"))
+# specs that parse_args never builds, as RunSpec or a hand-edited meta can
+@pytest.mark.parametrize(
+    "spec, exc",
+    [
+        (RunSpec(command="nope"), ParameterError),
+        (
+            RunSpec(command="run", free={"p": 0.5, "s": 0.5}, pb=(0.5, 0.5), m=3),
+            DimensionError,
+        ),
+    ],
+    ids=["unknown-command", "pb-and-m-disagree"],
+)
+def test_unknown_command_is_a_parameter_error(spec, exc):
+    with pytest.raises(exc):
+        execute(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +335,43 @@ def test_verify_detects_divergence(capsys, monkeypatch, argv, skew):
     assert "diverge" in err
 
 
+_PB2 = ["--pb", "0.5,0.5"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--scheme", "I_B", "--r", "0.166", "--walks", "1"],
-        ["closed-form", "--scheme", "III_A", "--p", "0.5"],
-        ["run", "--scheme", "III_A", "--p", "0.5"],
+        # 1e15 quanta need petabyte arrays, past the 47-bit address space:
+        # the allocation fails at once, before any memory is touched
+        ["simulate", "--scheme", "I_B", "--r", "0.166", "--walks", "1",
+         *_PB2, "--quanta", str(10**15)],
+        ["closed-form", "--scheme", "III_A", "--p", "0.5", *_PB2, "--quanta", str(10**15)],
+        ["run", "--scheme", "III_A", "--p", "0.5", *_PB2, "--quanta", str(10**15)],
+        # sizes whose arrays have more bytes than numpy can index at all
+        ["run", "--scheme", "III_A", "--p", "0.5", *_PB2, "--quanta", str(10**20)],
+        ["closed-form", "--scheme", "III_A", "--p", "0.5", *_PB2, "--quanta", str(10**20)],
+        ["compare", "--preset", "III_A:p=0.5", *_PB2, "--quanta", str(10**20)],
+        ["run", "--scheme", "III_A", "--p", "0.5", *_PB2, "--quanta", str(2**60)],
+        ["simulate", "--scheme", "I_B", "--r", "0.166", *_PB2, "--walks", str(10**20)],
+        ["run", "--scheme", "IV", "--m", str(10**20)],
     ],
 )
 def test_unallocatable_horizon_exits_2(capsys, argv):
-    # 1e15 quanta need petabyte arrays, past the 47-bit address space: the
-    # allocation fails at once, before any memory is touched
-    code, out, err = run_cli(capsys, *argv, "--pb", "0.5,0.5", "--quanta", str(10**15))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("schedchain: error: ")
+
+
+def test_absorb_sizes_its_histogram_before_the_sweep(capsys, monkeypatch):
+    def sweep(config):
+        raise AssertionError("swept a horizon whose histogram cannot be allocated")
+
+    monkeypatch.setattr(cli, "absorption_times", sweep)
+    code, out, err = run_cli(
+        capsys, "absorb", "--scheme", "I_B", "--r", "0.5", *_PB2,
+        "--quanta", str(10**15), "--walks", "1",
+    )
     assert code == 2
     assert out == ""
     assert err.startswith("schedchain: error: ")

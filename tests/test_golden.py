@@ -3,9 +3,9 @@
 Each case runs one CLI call in-process with ``--format json`` and pins the
 sha256 of its output rows (and of ``absorb``'s ``summary``).  ``meta`` is left
 out because it carries the package version.  The CLI cases cross walk-tile
-boundaries of the sweep.  The API case pins counts, first hits and traces at
-the default tile budget and at budgets that cut walks into time blocks or
-pack a few whole walks into a tile.  The long-horizon and API hashes were
+boundaries of the sweep.  The API case pins counts and first hits at the
+default tile budget and at budgets that cut walks into time blocks or pack a
+few whole walks into a tile.  The long-horizon and API hashes were
 recorded with the per-quantum sweep that the tiled one replaced.
 """
 
@@ -21,7 +21,6 @@ from schedchain import (
     SimConfig,
     absorption_times,
     simulate,
-    walk_traces,
 )
 from schedchain import montecarlo
 from schedchain.cli import main
@@ -77,7 +76,6 @@ def test_monte_carlo_output_matches_golden_hash(argv, expected, capsys):
 API_GOLDEN = {
     "counts": "0f3da890a2710179d2891d862f8148d58e86cff86c479f98d3524cf2e5825ae6",
     "first_hit": "97dd5aee267c21ee8c1a6c1f84f0cfecdd770342b51c4442906a0ca3f5fa55b2",
-    "traces": "fe8c09cbda02614fd97a4a7cd4924ea8358ad96a65dcce050726687d3c32f7d1",
 }
 
 
@@ -101,6 +99,5 @@ def test_api_arrays_match_golden_hash(budget, monkeypatch):
     arrays = {
         "counts": simulate(config).counts,
         "first_hit": absorption_times(config).first_hit,
-        "traces": walk_traces(config),
     }
     assert {key: _array_sha256(value) for key, value in arrays.items()} == API_GOLDEN

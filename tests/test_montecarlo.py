@@ -20,7 +20,6 @@ from schedchain import (
     closed_form,
     make_preset,
     simulate,
-    walk_traces,
 )
 
 PB5 = (0.27, 0.15, 0.17, 0.18, 0.23)
@@ -116,9 +115,9 @@ def test_identity_chain_walks_never_move():
 def test_pure_cycle_walk_is_deterministic():
     preset = make_preset(SchemeId.II_A, {}, pb=(0.0, 1.0, 0.0, 0.0, 0.0))
     config = SimConfig.from_preset(preset, n_quanta=10, n_walks=50, seed=3)
-    traces = walk_traces(config)
-    expected = [(1 + t) % 5 for t in range(11)]
-    assert np.array_equal(traces, np.tile(expected, (50, 1)))
+    counts = simulate(config).counts
+    for t in range(11):
+        assert counts[t, (1 + t) % 5] == 50, t
 
 
 def test_certain_absorption_hits_at_quantum_one():
@@ -208,16 +207,15 @@ def test_identical_configs_reproduce_bitwise():
 def test_chunk_size_does_not_change_results(monkeypatch):
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=1000, seed=13)
-    counts, first_hit, traces = mc._sweep(config, keep_traces=True)
+    counts, first_hit = mc._sweep(config)
     # 16: one walk per tile; 10 (not a multiple of 4) and 7: time blocks of
     # 8 and 4 draws, one quantum per bincount; 50: three walks per tile, two
     # bincounts per tile; 2**20: every walk in one tile
     for budget in (16, 10, 7, 50, 2 ** 20):
         monkeypatch.setattr(mc, "_TILE_BUDGET", budget)
-        tiled = mc._sweep(config, keep_traces=True)
+        tiled = mc._sweep(config)
         assert np.array_equal(tiled[0], counts), budget
         assert np.array_equal(tiled[1], first_hit), budget
-        assert np.array_equal(tiled[2], traces), budget
 
 
 def _two_workers(monkeypatch, on: bool):
@@ -258,14 +256,14 @@ def test_worker_count_does_not_change_results(monkeypatch, budget, n_walks, n_qu
 
     monkeypatch.setattr(mc._WalkStreams, "fill", recording_fill)
     _two_workers(monkeypatch, False)
-    one = mc._sweep(config, keep_traces=True)
+    one = mc._sweep(config)
     assert len(fillers) == 1
     fillers.clear()
     _two_workers(monkeypatch, True)
-    two = mc._sweep(config, keep_traces=True)
+    two = mc._sweep(config)
     several_tiles = budget < (n_quanta + 1) * n_walks
     assert len(fillers) == (2 if several_tiles else 1)
-    for name, a, b in zip(("counts", "first_hit", "traces"), one, two):
+    for name, a, b in zip(("counts", "first_hit"), one, two):
         assert np.array_equal(a, b), name
 
 
@@ -319,11 +317,25 @@ def test_memory_is_bounded_by_counts_plus_tiles(monkeypatch, n_walks, n_quanta):
     assert np.array_equal(absorption_times(config).first_hit, sample.first_hit)
 
 
+def _short_and_long(preset, n_walks, seed):
+    """(counts, first_hit) of the same walks over 10 and over 40 quanta."""
+    views = []
+    for n_quanta in (10, 40):
+        config = SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks, seed=seed)
+        views.append((simulate(config).counts, absorption_times(config).first_hit))
+    return views
+
+
 def test_longer_horizon_extends_the_same_paths():
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
-    short = walk_traces(SimConfig.from_preset(preset, n_quanta=10, n_walks=200, seed=21))
-    long = walk_traces(SimConfig.from_preset(preset, n_quanta=40, n_walks=200, seed=21))
-    assert np.array_equal(short, long[:, :11])
+    # one walk's counts hold its path: a single 1 per row, in the walk's state
+    for seed in range(40):
+        (short, short_hit), (long, long_hit) = _short_and_long(preset, 1, seed)
+        assert np.array_equal(short, long[:11]), seed
+        assert np.array_equal(short_hit, np.where(long_hit > 10, CENSORED, long_hit)), seed
+    (short, short_hit), (long, long_hit) = _short_and_long(preset, 200, 21)
+    assert np.array_equal(short, long[:11])
+    assert np.array_equal(short_hit, np.where(long_hit > 10, CENSORED, long_hit))
 
 
 def _fill(seed, first_walk, out, first_draw=0):
@@ -384,12 +396,12 @@ def test_both_rekey_paths_match_documented_keying(monkeypatch, fresh_rekey, reke
 def test_dict_rekey_fallback_gives_identical_runs(monkeypatch, fresh_rekey):
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=300, seed=43)
-    fast = mc._sweep(config, keep_traces=True)
+    fast = mc._sweep(config)
     _force_fallback_rekey(monkeypatch, "error")
     mc._state_rekey_works.cache_clear()
-    slow = mc._sweep(config, keep_traces=True)
+    slow = mc._sweep(config)
     assert not mc._state_rekey_works()
-    for name, a, b in zip(("counts", "first_hit", "traces"), fast, slow):
+    for name, a, b in zip(("counts", "first_hit"), fast, slow):
         assert np.array_equal(a, b), name
 
 
@@ -434,26 +446,23 @@ def test_counts_rows_sum_to_walks(fifo_hazard_estimate):
     assert np.max(np.abs(estimate.frequencies.sum(axis=1) - 1.0)) <= 1e-12
 
 
-def test_absorbed_walks_stay_absorbed():
-    preset = make_preset(SchemeId.II_B, {"r": 0.3}, pb=PB5)
-    config = SimConfig.from_preset(preset, n_quanta=30, n_walks=500, seed=17)
-    traces = walk_traces(config)
-    m = preset.params.m
-    deadlocked = traces == m
-    # once a row hits m it must remain m for the rest of the trace
-    first = np.argmax(deadlocked, axis=1)
-    for w in range(traces.shape[0]):
-        if deadlocked[w].any():
-            assert np.all(traces[w, first[w]:] == m)
-
-
-def test_simulate_and_absorption_describe_the_same_walks():
-    preset = make_preset(SchemeId.I_B, {"r": 0.25}, pb=PB5)
-    config = SimConfig.from_preset(preset, n_quanta=40, n_walks=2000, seed=29)
+# The D column is the running total of first hits: a walk that left D would
+# leave it short, one counted in D before its first hit would push it over.
+@pytest.mark.parametrize(
+    "scheme, free, n_quanta, n_walks, seed",
+    [
+        (SchemeId.I_B, {"r": 0.25}, 40, 2000, 29),
+        (SchemeId.II_B, {"r": 0.3}, 30, 500, 17),
+    ],
+    ids=["I_B", "II_B"],
+)
+def test_simulate_and_absorption_describe_the_same_walks(scheme, free, n_quanta, n_walks, seed):
+    preset = make_preset(scheme, free, pb=PB5)
+    config = SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks, seed=seed)
     estimate = simulate(config)
     sample = absorption_times(config)
     hit_counts = np.bincount(
-        sample.first_hit[sample.first_hit != CENSORED], minlength=41
+        sample.first_hit[sample.first_hit != CENSORED], minlength=n_quanta + 1
     )
     in_deadlock = np.cumsum(hit_counts)
     assert np.array_equal(estimate.counts[:, -1], in_deadlock)

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import schedchain
 import schedchain.cli as cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -35,3 +36,14 @@ def test_command_line_examples_exit_0(tmp_path, monkeypatch):
         assert cli.main(argv) == 0, argv
         if "--output" in argv:
             assert (tmp_path / argv[argv.index("--output") + 1]).exists()
+
+
+def test_api_references_resolve():
+    # every `schedchain.<dotted name>` in backticks, up to any call syntax;
+    # schedchain.cli resolves because this module imports it
+    names = re.findall(r"`schedchain\.([\w.]+)[^`]*`", README)
+    assert names
+    for name in names:
+        obj = schedchain
+        for part in name.split("."):
+            obj = getattr(obj, part)  # an AttributeError names what is gone
