@@ -49,28 +49,27 @@ _TIE_RTOL = 1e-12
 def _jain(shares: np.ndarray) -> np.ndarray:
     """Jain index of each row of finite non-negative shares with a positive total.
 
-    Rows whose sum of squares would leave the normal float range are first
-    scaled by their largest share (the index is scale-invariant).  A row of
-    ``k`` shares sums to at most ``k`` times its largest, so a largest share
-    above ``sqrt(max) / k`` is taken as overflow without squaring it.  Rows of
-    shares up to 1 never overflow, and keep their exact arithmetic.
+    Each row is first scaled by the power of two that puts its largest share
+    in [0.5, 1) (the index is scale-invariant), so no sum or square overflows
+    and none that matters underflows, at any finite scale.  Scaling by a power
+    of two is exact, so a row of normal floats gives the same bits at every
+    scale.  Rounding can lift the index of nearly equal shares an ulp or two
+    above 1, its upper bound, so the index is clipped there.
     """
     k = shares.shape[-1]
-    top = shares.max(axis=-1, keepdims=True)
-    # rows that could overflow read as underflowing ones, and are scaled with them
-    fits = np.where(top <= math.sqrt(np.finfo(float).max) / k, shares, 0.0)
-    scale = (fits * fits).sum(axis=-1, keepdims=True) < np.finfo(float).tiny
-    if scale.any():
-        shares = np.where(scale, shares / top, shares)
+    _, exponent = np.frexp(shares.max(axis=-1, keepdims=True))
+    shares = np.ldexp(shares, -exponent)
     total = shares.sum(axis=-1)
-    return total * total / (k * (shares * shares).sum(axis=-1))
+    return np.minimum(total * total / (k * (shares * shares).sum(axis=-1)), 1.0)
 
 
 def jain_fairness(shares) -> float:
     """Jain index ``(sum c)^2 / (k * sum c^2)`` of finite non-negative shares.
 
     Equals 1 for perfectly equal shares and ``1/k`` when a single share
-    monopolizes everything.  Scale-invariant, at any finite scale.
+    monopolizes everything, and never exceeds 1: rounding above it is clipped.
+    Scale-invariant at any finite scale, and bit for bit when normal shares
+    are scaled by a power of two.
     """
     c = np.asarray(shares, dtype=float)
     if c.ndim != 1 or c.size == 0:

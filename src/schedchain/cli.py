@@ -222,25 +222,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, walks: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, *, moves: str = "", walks: bool = False) -> None:
         p.add_argument("--pb", help="comma-separated initial process probabilities (sum 1)")
         p.add_argument("--m", type=int, help="ring size; inferred from --pb when given")
         p.add_argument("--quanta", "-n", type=int, default=50, help="horizon N (default 50)")
-        for name in _PARAM_NAMES:
-            p.add_argument(
-                f"--{name}",
-                type=float,
-                help=f"move probability {name} (free scheme parameter, or raw without --scheme)",
-            )
+        if moves:
+            for name in _PARAM_NAMES:
+                p.add_argument(f"--{name}", type=float, help=f"move probability {name} ({moves})")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
         p.add_argument("--output", "-o", help="output path (default: standard output)")
         if walks:
             p.add_argument("--walks", type=int, default=10000, help="walk count (default 10000)")
             p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
 
+    raw_or_free = "free scheme parameter, or raw without --scheme"
     run = sub.add_parser("run", help="exact matrix propagation")
     run.add_argument("--scheme", choices=_SCHEME_CHOICES)
-    add_common(run)
+    add_common(run, moves=raw_or_free)
     run.add_argument(
         "--verify",
         action="store_true",
@@ -249,17 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     closed = sub.add_parser("closed-form", help="per-scheme analytic distributions")
     closed.add_argument("--scheme", choices=_SCHEME_CHOICES, required=True)
-    add_common(closed)
+    add_common(closed, moves="free scheme parameter")
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo occupancy")
     sim.add_argument("--scheme", choices=_SCHEME_CHOICES)
-    add_common(sim, walks=True)
+    add_common(sim, moves=raw_or_free, walks=True)
 
     absorb = sub.add_parser("absorb", help="seeded Monte Carlo deadlock-hit times")
     absorb.add_argument("--scheme", choices=_SCHEME_CHOICES)
-    add_common(absorb, walks=True)
+    add_common(absorb, moves=raw_or_free, walks=True)
 
-    comp = sub.add_parser("compare", help="rank schemes by the efficiency index")
+    # no abbreviations, so a move flag such as --q is refused, not read as --quanta
+    comp = sub.add_parser(
+        "compare", help="rank schemes by the efficiency index", allow_abbrev=False
+    )
     comp.add_argument(
         "--preset",
         action="append",
@@ -285,7 +286,7 @@ def parse_args(argv=None) -> RunSpec:
         parser.error("--quanta must be non-negative")
 
     free = _canon_free(
-        {name: getattr(ns, name) for name in _PARAM_NAMES if getattr(ns, name) is not None}
+        {name: getattr(ns, name) for name in _PARAM_NAMES if getattr(ns, name, None) is not None}
     )
 
     walks = getattr(ns, "walks", None)
@@ -302,8 +303,6 @@ def parse_args(argv=None) -> RunSpec:
     if ns.command == "compare":
         if ns.quanta < 1:
             parser.error("--quanta must be >= 1 for compare")
-        if free:
-            parser.error("compare takes parameters inside --preset, not bare flags")
         presets = tuple(_parse_preset_token(token, parser) for token in ns.preset)
 
     return RunSpec(

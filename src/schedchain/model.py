@@ -375,23 +375,17 @@ def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajector
         extended = np.empty(m + width - 1)
         windows = np.lib.stride_tricks.sliding_window_view(extended, m)
         # a block's D column is its start's D plus each kernel's deadlock tap times
-        # the start's slot mass; it is filled for all blocks after the loop
-        blocks = range(0, n, b)
-        start_dead, start_slots = np.empty(len(blocks)), np.empty(len(blocks))
+        # the start's slot mass
         deadlock, slots = table[0, m], np.add.reduce(table[0, :m])
-        for i, k in enumerate(blocks):
+        for k in range(0, n, b):
             rows = table[k + 1 : k + 1 + b]
             c = rows.shape[0]
             np.take(table[k], gather, out=extended)
             np.matmul(kernels[:c], windows, out=rows[:, :m])
-            start_dead[i], start_slots[i] = deadlock, slots
+            rows[:, m] = dead[:c] * slots + deadlock
             last = rows[-1]
-            last[m] = deadlock = deadlock + dead[c - 1] * slots
-            slots = np.add.reduce(last[:m])
+            deadlock, slots = last[m], np.add.reduce(last[:m])
             total = slots + deadlock
             if _renormalize(last, total, abs(total - 1.0), total):
                 deadlock, slots = last[m], slots / total
-        table[1:, m] = (start_dead[:, None] + start_slots[:, None] * dead).ravel()[:n]
-        table[b:n:b, m] = start_dead[1:]  # the last rows of blocks, as renormalized
-        table[n, m] = deadlock
     return Trajectory._adopt(table)

@@ -232,7 +232,8 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
     at any ring size and for any ``n``.  A row does not depend on which other
     counts ``ns`` holds.  When at most one of ``p``, ``s``, ``q`` is non-zero
     (FIFO, round robin, pure retreat, certain deadlock) the slot mass is
-    instead ``pb`` rotated by the net shift, exactly, and scaled by
+    instead ``pb`` rotated by the net shift, ``n`` slots forward if ``p > 0``,
+    back if ``q > 0`` and none otherwise, exactly, and scaled by
     ``(1 - r)^n``.  Otherwise round-off negatives become +0.0, and slots the
     walk cannot have reached yet (further than ``n`` steps from every slot
     ``pb`` occupies, in the directions it moves) hold exactly 0.  Deadlock
@@ -265,12 +266,10 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
         table[:, m] = quanta > 0
         alive = 1.0 - table[:, m]
     if (p > 0.0) + (s > 0.0) + (q > 0.0) <= 1:
-        if p == q:  # FIFO, or nothing left on the ring
-            np.multiply(pb, alive[:, None], out=proc)
-        else:
-            # reduced mod m before the sign is applied, so no count wraps a fixed-width integer
-            shifts = (counts % m).astype(np.intp) * (1 if q == 0.0 else -1)
-            np.multiply(pb[(np.arange(m) - shifts[:, None]) % m], alive[:, None], out=proc)
+        # one slot a quantum forward, back, or none (FIFO, nothing left on the ring);
+        # reduced mod m before the sign is applied, so no count wraps a fixed-width integer
+        shifts = (counts % m).astype(np.intp) * ((p > 0.0) - (q > 0.0))
+        np.multiply(pb[(np.arange(m) - shifts[:, None]) % m], alive[:, None], out=proc)
     else:
         # λ is the DFT of the step's first column, so one transform gives both
         # spectra; dividing by λ_0 = p + s + q leaves the walk on the ring, whose

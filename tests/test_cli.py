@@ -69,12 +69,32 @@ def test_parse_args_mixture_run():
         ["run", "--scheme", "I_A", "--pb", PB_ARG, "--quanta", "-1"],
         ["simulate", "--scheme", "I_A", "--pb", PB_ARG, "--quanta", "0"],
         ["compare", "--preset", "I_B:r=0.2", "--pb", PB_ARG, "--quanta", "0"],
+        ["compare", "--preset", "I_B:r=0.2", "--pb", PB_ARG, "--q", "2"],  # not --quanta
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         parse_args(argv)
     assert exc.value.code == 2
+
+
+def test_help_promises_only_what_the_parser_accepts():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for command, sub in commands.choices.items():
+        help_text = " ".join(sub.format_help().split())  # unwrapped
+        scheme = next((a for a in sub._actions if a.dest == "scheme"), None)
+        moves = [f"--{name}" for name in ("p", "s", "q", "r") if f"--{name} " in help_text]
+        if command == "compare":
+            assert scheme is None and moves == [], help_text
+            continue
+        assert moves == ["--p", "--s", "--q", "--r"], command
+        # "raw without --scheme" only where --scheme may be left out
+        assert ("raw without --scheme" in help_text) == (not scheme.required), command
+        argv = [command, "--scheme", "III_A", "--p", "0.5", "--pb", PB_ARG, "--quanta", "3"]
+        assert parse_args(argv).free == {"p": 0.5}
+        if not scheme.required:
+            raw = [command, "--p", "0.5", "--s", "0.5", "--q", "0", "--r", "0", "--pb", PB_ARG]
+            assert parse_args(raw).free == {"p": 0.5, "s": 0.5, "q": 0.0, "r": 0.0}
 
 
 def test_constraint_violation_exits_3(capsys):

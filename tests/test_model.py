@@ -1,5 +1,7 @@
 """Tests for the core chain types and the exact propagation engine."""
 
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -503,3 +505,22 @@ def test_package_exports_are_the_module_lists():
         for name in module.__all__:
             assert getattr(schedchain, name) is getattr(module, name)
     assert sorted(schedchain.__all__) == sorted(["__version__", *names])
+
+
+def test_package_loads_only_the_module_read_first():
+    # a fresh interpreter, so no earlier import has bound the submodules
+    code = (
+        "import sys, schedchain\n"
+        "assert schedchain.montecarlo is sys.modules['schedchain.montecarlo']\n"
+        "print('schedchain.analysis' in sys.modules)\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
+
+
+def test_package_dir_lists_dunders_modules_and_exports():
+    dunders = {name for name in vars(schedchain) if name.startswith("__")}
+    listed = dir(schedchain)
+    assert listed == sorted(dunders.union(schedchain._MODULES, schedchain.__all__))
+    for name in listed:
+        getattr(schedchain, name)  # every listed name resolves

@@ -1,8 +1,10 @@
 """Tests for the seeded Monte Carlo walk engine."""
 
+import ctypes
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -424,6 +426,64 @@ def test_fallback_needs_no_state_dict(monkeypatch, fresh_rekey):
     assert np.array_equal(simulate(config).counts, counts)
     assert np.array_equal(absorption_times(config).first_hit, first_hit)
     assert not mc._state_rekey_works()
+
+
+def _watch_fills(monkeypatch):
+    """Record fills instead of drawing; the self-check swallows errors, so no raising spy."""
+    fills = []
+    monkeypatch.setattr(mc._WalkStreams, "fill", lambda self, *args: fills.append(args))
+    return fills
+
+
+@pytest.mark.parametrize("wrong", ["key", "counter"])
+def test_rekey_self_check_writes_nothing_through_views_that_read_back_wrong(
+    monkeypatch, fresh_rekey, wrong
+):
+    real = mc._state_views
+    built = []
+
+    def views(bg):
+        # detached copies of what numpy set, with one word changed
+        key, counter, buffer_pos = real(bg)
+        key, counter = (ctypes.c_uint64 * 2)(*key), (ctypes.c_uint64 * 4)(*counter)
+        (key if wrong == "key" else counter)[1] ^= 1
+        built.append((key, counter, list(key), list(counter)))
+        return key, counter, ctypes.c_int(buffer_pos.value)
+
+    monkeypatch.setattr(mc, "_state_views", views)
+    fills = _watch_fills(monkeypatch)
+    assert mc._state_rekey_works() is False
+    [(key, counter, key_read, counter_read)] = built  # no struct-keyed generator was built
+    assert (list(key), list(counter)) == (key_read, counter_read)
+    assert fills == []
+
+
+def test_rekey_self_check_refuses_a_struct_without_pointers(monkeypatch, fresh_rekey):
+    # a key or counter held inline would put 2, or a word above 2**56, where
+    # numpy's struct keeps its two pointers
+    monkeypatch.setattr(mc, "_state_views", lambda bg: pytest.fail("views of a bad struct"))
+    fills = _watch_fills(monkeypatch)
+    for words in ((2, 1 << 40), (1 << 40, 1 << 60)):
+        inline = (ctypes.c_uint64 * 8)(*words, 4)
+
+        class InlinePhilox(np.random.Philox):
+            @property
+            def ctypes(self):
+                return types.SimpleNamespace(state_address=ctypes.addressof(inline))
+
+        monkeypatch.setattr(np.random, "Philox", InlinePhilox)
+        mc._state_rekey_works.cache_clear()
+        assert mc._state_rekey_works() is False
+        assert list(inline) == [*words, 4, 0, 0, 0, 0, 0]
+        assert fills == []
+
+
+@pytest.mark.parametrize("count, spare", [(None, False), (1, False), (2, True), (64, True)])
+def test_spare_cpu_falls_back_to_the_cpu_count(monkeypatch, count, spare):
+    # platforms without sched_getaffinity (macOS, Windows) ask for the CPU count
+    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: count)
+    assert mc._spare_cpu() is spare
 
 
 def test_rekey_self_check_runs_once_per_process(monkeypatch, fresh_rekey):
