@@ -117,8 +117,12 @@ def _stochastic(values, what: str, ndim: int, copy: bool = True) -> np.ndarray:
     if not worst <= DRIFT_TOL:  # also when a NaN or infinite entry spoils a row sum
         problem = "be finite" if not np.isfinite(worst) else f"sum to 1, got {sums}"
         raise ParameterError(f"{what} must {problem}")
-    if arr.shape[-1] < 3:
-        raise DimensionError(f"need two process slots plus deadlock, got {arr.shape[-1]} states")
+    slots = arr.shape[-1] - 1
+    if slots < 2:
+        plural = "" if slots == 1 else "s"
+        raise DimensionError(
+            f"need two process slots plus deadlock, got {max(slots, 0)} process slot{plural}"
+        )
     top = sums if ndim == 1 else np.maximum.reduce(sums, initial=0.0)
     _renormalize(arr, sums, worst, top)
     return arr
@@ -299,14 +303,11 @@ def build_matrix(params: SchemeParams) -> TransitionMatrix:
 #: so wide rings step fewer quanta per block, down to one.
 _BLOCK_BUDGET = 2**16
 
-#: Most quanta one block advances.
-_MAX_BLOCK = 128
-
 
 def _block_quanta(n: int, m: int) -> int:
     """Quanta per block: about ``sqrt(n)``, so building the kernels (one stencil
     step per quantum of a block) costs about as much as stepping the blocks."""
-    b = min(max(math.isqrt(n), 1), _MAX_BLOCK)
+    b = max(math.isqrt(n), 1)
     while b > 1 and (b + m) * min(2 * b + 1, m) > _BLOCK_BUDGET:
         b //= 2
     return b
@@ -347,9 +348,9 @@ def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajector
 
     Row ``k`` lies ``k`` quanta after ``init``, which may be any distribution:
     ``propagate(traj[k], matrix, n - k)`` continues ``traj`` from its row ``k``.
-    The chain advances ``b`` quanta per block: about ``sqrt(n)``, at most 128,
-    fewer on wide rings.  The ``1..b``-quantum kernels are built once per call
-    by stepping a unit mass with the ring stencil, and their taps fold mod ``m``
+    The chain advances ``b`` quanta per block: about ``sqrt(n)``, fewer on
+    wide rings.  The ``1..b``-quantum kernels are built once per call by
+    stepping a unit mass with the ring stencil, and their taps fold mod ``m``
     onto ``width = min(2b + 1, m)`` offsets.  A block's slot rows are then one
     product of the kernels with the circular windows of the block's start row,
     and its D column is the start's D plus each kernel's deadlock tap times the

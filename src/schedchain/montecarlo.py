@@ -110,9 +110,10 @@ class OccupancyEstimate:
     """Per-quantum state occupancy counts over all walks.
 
     ``counts[t, j]`` is the number of walks in state ``j`` (columns ordered
-    P1..Pm, D) at quantum ``t``; every row sums to ``n_walks``.  A read-only
-    int64 array is kept as given, so :func:`simulate` hands over its result
-    without a second copy; anything else is copied.
+    P1..Pm, D) at quantum ``t``; every row sums to ``n_walks``.  Counts must
+    have an integer dtype.  A read-only int64 array is kept as given, so
+    :func:`simulate` hands over its result without a second copy; anything
+    else is copied.
     """
 
     counts: np.ndarray
@@ -120,7 +121,10 @@ class OccupancyEstimate:
 
     def __post_init__(self) -> None:
         n_walks = _check_int(self.n_walks, "n_walks", 1)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise ParameterError(f"counts must hold integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
         if counts.flags.writeable:
             counts = counts.copy()
             counts.flags.writeable = False

@@ -72,10 +72,33 @@ def test_parse_args_mixture_run():
         ["compare", "--preset", "I_B:r=0.2", "--pb", PB_ARG, "--q", "2"],  # not --quanta
     ],
 )
-def test_usage_errors_exit_2(argv):
-    with pytest.raises(SystemExit) as exc:
-        parse_args(argv)
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(capsys, argv):
+    # argparse exits 2 on text that does not parse; main returns 2 when an
+    # engine's constructor refuses a parsed value
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_value_errors_print_the_engine_message_once(capsys):
+    code, out, err = run_cli(capsys, "run", "--scheme", "I_A", "--pb", "1.0")
+    assert (code, out) == (2, "")
+    assert err == "schedchain: error: need two process slots plus deadlock, got 1 process slot\n"
+
+
+def test_meta_and_argv_get_the_same_message_for_a_bad_value(capsys):
+    argv = ["simulate", "--scheme", "I_B", "--r", "0.1", "--pb", PB_ARG, "--quanta", "3"]
+    code, out, _ = run_cli(capsys, *argv, "--walks", "10", "--format", "json")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    code, out, err = run_cli(capsys, *argv, "--walks", "0")
+    assert (code, out) == (2, "")
+    with pytest.raises(ParameterError) as exc:
+        execute(RunSpec.from_meta({**meta, "walks": 0}))
+    assert err == f"schedchain: error: {exc.value}\n"
 
 
 def test_help_promises_only_what_the_parser_accepts():
@@ -657,6 +680,18 @@ def test_usage_error_through_the_process_entry_exits_2():
     )
     assert child.returncode == 2
     assert "invalid choice: 'nope'" in child.stderr
+
+
+def test_value_error_through_the_process_entry_writes_no_output(tmp_path):
+    target = tmp_path / "out.csv"
+    child = subprocess.run(
+        [sys.executable, "-m", "schedchain", "simulate", "--scheme", "I_B", "--r", "0.1",
+         "--pb", PB_ARG, "--walks", "0", "--output", str(target)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == "schedchain: error: n_walks must be >= 1, got 0\n"
+    assert not target.exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

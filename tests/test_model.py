@@ -332,19 +332,24 @@ def test_drained_chains_match_per_quantum_stepping():
 
 def test_long_horizon_rows_keep_rounding_error_small():
     # Every block reuses the kernels, so their rounding would add up over the
-    # 157 blocks; kernels stepped in extended precision keep the error below
-    # that of per-quantum stepping (about 1.3e-14 here).  np.longdouble is a
-    # double on some platforms, and then the bound is that of stepping.
-    params = SchemeParams(0.4, 0.3, 0.2999, 1e-4, 5)
-    p, s, q, r = (np.longdouble(v) for v in (params.p, params.s, params.q, params.r))
-    slots, dead = np.array(PB5, dtype=np.longdouble), np.longdouble(0.0)
-    exact = np.empty((20_001, 6), dtype=np.longdouble)
-    for k in range(20_001):
-        exact[k, :-1], exact[k, -1] = slots, dead
-        slots, dead = s * slots + p * np.roll(slots, 1) + q * np.roll(slots, -1), dead + r * slots.sum()
-    table = propagate(Distribution.from_process_probs(PB5), build_matrix(params), 20_000).to_array()
+    # 142 blocks of 141 quanta (225 of 223 at N = 50 000); kernels stepped in
+    # extended precision keep the error below that of per-quantum stepping
+    # (about 1.3e-14 for the retreat chain).  np.longdouble is a double on
+    # some platforms, and then the bound is that of stepping.
     extended = np.finfo(np.longdouble).eps < np.finfo(float).eps
-    assert float(np.max(np.abs(table - exact))) <= (3e-15 if extended else 3e-14)
+    retreat = SchemeParams(0.4, 0.3, 0.2999, 1e-4, 5)
+    mixture = SchemeParams(0.417, 0.5829, 0.0, 1e-4, 5)  # III_B, p=0.417, r=1e-4
+    for params, n in ((retreat, 20_000), (mixture, 50_000)):
+        p, s, q, r = (np.longdouble(v) for v in (params.p, params.s, params.q, params.r))
+        slots, dead = np.array(PB5, dtype=np.longdouble), np.longdouble(0.0)
+        exact = np.empty((n + 1, 6), dtype=np.longdouble)
+        for k in range(n + 1):
+            exact[k, :-1], exact[k, -1] = slots, dead
+            slots = s * slots + p * np.roll(slots, 1) + q * np.roll(slots, -1)
+            dead += r * exact[k, :-1].sum()
+        table = propagate(Distribution.from_process_probs(PB5), build_matrix(params), n)
+        error = float(np.max(np.abs(table.to_array() - exact)))
+        assert error <= (3e-15 if extended else 3e-14), (params, n)
 
 
 def test_blocks_start_from_renormalized_rows():
@@ -374,7 +379,7 @@ def test_blocked_rows_match_dense_stepping(m, probs, n, data):
 
 
 def test_propagate_is_not_quadratic():
-    # one Python step per quantum took 2-3 s here; blocks of 128 quanta take tens of ms
+    # one Python step per quantum took 2-3 s here; blocks of 632 quanta take tens of ms
     params = SchemeParams(0.4, 0.3, 0.2999, 1e-4, 5)
     init = Distribution.from_process_probs(PB5)
     start = time.perf_counter()

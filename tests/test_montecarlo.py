@@ -72,8 +72,14 @@ def test_config_dimension_mismatch():
         (np.zeros((0, 3), dtype=np.int64), 1, DimensionError),  # no quantum 0
         (np.ones((2, 1), dtype=np.int64), 1, DimensionError),  # no slot, only D
         (np.array([[1, 0], [1, 0]]), 1, DimensionError),  # one slot plus D
+        # rows that would sum to n_walks once truncated to integers
+        (np.array([[1.7, 0, 0], [0.2, 1.9, 0]]), 1, ParameterError),
+        (np.array([[True, False, False]]), 1, ParameterError),  # not a count
     ],
-    ids=["no-walks", "negative-count", "row-sum", "no-rows", "one-column", "two-columns"],
+    ids=[
+        "no-walks", "negative-count", "row-sum", "no-rows", "one-column", "two-columns",
+        "fractional", "bool",
+    ],
 )
 def test_occupancy_estimate_rejects_inconsistent_counts(counts, n_walks, exc):
     with pytest.raises(exc):
