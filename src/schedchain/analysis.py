@@ -162,7 +162,7 @@ def compare(presets: Iterable[SchemePreset], horizon: int) -> ComparisonReport:
     presets = tuple(presets)
     if not presets:
         raise ParameterError("compare needs at least one preset")
-    horizon = _check_int(horizon, "horizon", 1)
+    horizon = _check_int(horizon, "quanta", 1)
     sizes = {preset.params.m for preset in presets}
     if len(sizes) != 1:
         raise DimensionError(f"presets must share one ring size, got m in {sorted(sizes)}")

@@ -92,7 +92,11 @@ class EngineDivergence(RuntimeError):
 
 @dataclass
 class RunSpec:
-    """Everything one invocation computes, minus where the output goes."""
+    """Everything one invocation computes, minus where the output goes.
+
+    ``free`` and each preset's parameters are ordered by ``_canon_free`` and
+    otherwise kept as given; the engines refuse what they cannot take.
+    """
 
     command: str
     scheme: str | None = None
@@ -106,6 +110,11 @@ class RunSpec:
     output: str | None = None
     verify: bool = False
     presets: tuple[tuple[str, dict[str, float]], ...] | None = None
+
+    def __post_init__(self) -> None:
+        self.free = _canon_free(self.free)
+        if self.presets is not None:
+            self.presets = tuple((scheme, _canon_free(free)) for scheme, free in self.presets)
 
     def to_meta(self, engine: str) -> dict:
         meta = {
@@ -130,22 +139,18 @@ class RunSpec:
     @classmethod
     def from_meta(cls, meta: dict) -> "RunSpec":
         """Rebuild the spec from an emitted JSON ``meta`` block."""
-        presets = None
-        if meta.get("presets") is not None:
-            presets = tuple(
-                (entry["scheme"], _canon_free(entry["free"])) for entry in meta["presets"]
-            )
+        presets = meta.get("presets")
         return cls(
             command=meta["command"],
             scheme=meta.get("scheme"),
-            free=_canon_free(meta.get("free") or {}),
+            free=meta.get("free") or {},
             pb=tuple(meta["pb"]) if meta.get("pb") is not None else None,
             m=meta.get("m"),
             quanta=meta["quanta"],
             walks=meta.get("walks"),
             seed=meta.get("seed"),
             fmt=meta.get("format", "json"),
-            presets=presets,
+            presets=None if presets is None else [(e["scheme"], e["free"]) for e in presets],
         )
 
 
@@ -163,38 +168,42 @@ class Payload:
 
 
 def _canon_free(mapping: dict[str, float]) -> dict[str, float]:
-    # Fixed key order keeps emitted JSON byte-stable.
-    return {name: float(mapping[name]) for name in _PARAM_NAMES if name in mapping}
+    """``mapping`` with ``p, s, q, r`` first and other names after, in their order.
+
+    The fixed order keeps emitted JSON byte-stable; no name is dropped and no
+    value converted.
+    """
+    return {**{name: mapping[name] for name in _PARAM_NAMES if name in mapping}, **mapping}
 
 
-def _parse_pb(text: str, parser: argparse.ArgumentParser) -> tuple[float, ...]:
+def _parse_pb(text: str) -> tuple[float, ...]:
     try:
         # + 0.0 turns "-0" into +0.0, which CSV prints as "0", not "-0"
-        values = tuple(float(token) + 0.0 for token in text.split(","))
+        return tuple(float(token) + 0.0 for token in text.split(","))
     except ValueError:
-        parser.error(f"--pb must be comma-separated numbers, got {text!r}")
-    return values
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
 
 
-def _parse_preset_token(text: str, parser: argparse.ArgumentParser) -> tuple[str, dict]:
+def _parse_preset_token(text: str) -> tuple[str, dict]:
     scheme, _, rest = text.partition(":")
     scheme = scheme.strip()
     if scheme not in _SCHEME_CHOICES:
-        parser.error(f"unknown scheme {scheme!r} in --preset (choose from {_SCHEME_CHOICES})")
+        raise argparse.ArgumentTypeError(
+            f"unknown scheme {scheme!r} (choose from {_SCHEME_CHOICES})"
+        )
     free: dict[str, float] = {}
-    if rest:
-        for item in rest.split(","):
-            name, sep, raw = item.partition("=")
-            name = name.strip()
-            if not sep or not raw:
-                parser.error(f"bad --preset parameter {item!r} (expected name=value)")
-            if name in free:
-                parser.error(f"--preset {text!r} gives {name!r} twice")
-            try:
-                free[name] = float(raw)
-            except ValueError:
-                parser.error(f"bad --preset value {raw!r} for {name!r}")
-    return scheme, _canon_free(free)
+    for item in rest.split(",") if rest else ():
+        name, sep, raw = item.partition("=")
+        name = name.strip()
+        if not sep or not raw:
+            raise argparse.ArgumentTypeError(f"bad parameter {item!r} (expected name=value)")
+        if name in free:
+            raise argparse.ArgumentTypeError(f"{text!r} gives {name!r} twice")
+        try:
+            free[name] = float(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad value {raw!r} for {name!r}") from None
+    return scheme, free
 
 
 def _scheme_epilog() -> str:
@@ -213,10 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    # each option's dest names the RunSpec field it fills; these are the
+    # fields some subcommand has no option for
+    parser.set_defaults(
+        verify=False, **dict.fromkeys(("scheme", *_PARAM_NAMES, "walks", "seed", "presets"))
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, *, moves: str = "", walks: bool = False) -> None:
-        p.add_argument("--pb", help="comma-separated initial process probabilities (sum 1)")
+        p.add_argument(
+            "--pb", type=_parse_pb, help="comma-separated initial process probabilities (sum 1)"
+        )
         p.add_argument("--m", type=int, help="ring size; inferred from --pb when given")
         p.add_argument("--quanta", "-n", type=int, default=50, help="horizon N (default 50)")
         if moves:
@@ -257,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument(
         "--preset",
         action="append",
+        type=_parse_preset_token,
+        dest="presets",
         required=True,
         metavar="SCHEME[:k=v,...]",
         help="scheme plus its free parameters, e.g. III_B:p=0.417,r=0.166 (repeatable)",
@@ -268,36 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> RunSpec:
     """Turn an argument vector into a RunSpec; text that does not parse exits 2.
 
-    Values are not checked here: the engines' constructors check them, for
-    argv, ``RunSpec.from_meta`` and library calls alike, and ``main`` prints a
-    refused value as one ``schedchain: error:`` line and returns 2.
+    argparse reports such text with the usage block of the (sub)command that
+    could not read it.  Values are checked by the engines' constructors, for
+    argv, ``RunSpec.from_meta`` and library calls alike; ``main`` prints a
+    refused value as one line and returns 2, or 3 for a scheme constraint.
     """
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-
-    pb = _parse_pb(ns.pb, parser) if ns.pb is not None else None
-    free = _canon_free(
-        {name: getattr(ns, name) for name in _PARAM_NAMES if getattr(ns, name, None) is not None}
-    )
-
-    presets = None
-    if ns.command == "compare":
-        presets = tuple(_parse_preset_token(token, parser) for token in ns.preset)
-
-    return RunSpec(
-        command=ns.command,
-        scheme=getattr(ns, "scheme", None),
-        free=free,
-        pb=pb,
-        m=ns.m,
-        quanta=ns.quanta,
-        walks=getattr(ns, "walks", None),
-        seed=getattr(ns, "seed", None),
-        fmt=ns.fmt,
-        output=ns.output,
-        verify=getattr(ns, "verify", False),
-        presets=presets,
-    )
+    fields = vars(build_parser().parse_args(argv))
+    moves = {name: fields.pop(name) for name in _PARAM_NAMES}
+    return RunSpec(free={k: v for k, v in moves.items() if v is not None}, **fields)
 
 
 def _resolve(spec: RunSpec):
@@ -307,6 +303,8 @@ def _resolve(spec: RunSpec):
         return preset.params, preset.init, preset
     if spec.pb is None:
         raise ParameterError("raw-parameter runs need --pb")
+    if unknown := [name for name in spec.free if name not in _PARAM_NAMES]:
+        raise ParameterError(f"unknown move probability {unknown[0]!r}")
     values = {name: 0.0 for name in _PARAM_NAMES}
     values.update(spec.free)
     init = Distribution.from_process_probs(spec.pb)

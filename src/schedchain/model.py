@@ -360,7 +360,7 @@ def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajector
     the one before.  Rows differ from stepping ``matrix.entries`` one quantum at
     a time only by rounding: about 5e-15 at N = 20 000 on a five-slot ring.
     """
-    n = _check_int(n, "quantum count", 0)
+    n = _check_int(n, "quanta", 0)
     m = matrix.m
     if init.probs.size != m + 1:
         raise DimensionError(f"distribution has {init.probs.size} states but matrix has {m + 1}")

@@ -87,8 +87,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_quanta", _check_int(self.n_quanta, "n_quanta", 1))
-        object.__setattr__(self, "n_walks", _check_int(self.n_walks, "n_walks", 1))
+        object.__setattr__(self, "n_quanta", _check_int(self.n_quanta, "quanta", 1))
+        object.__setattr__(self, "n_walks", _check_int(self.n_walks, "walks", 1))
         seed = _check_int(self.seed, "seed", 0)
         if seed >= 2 ** 64:
             raise ParameterError("seed must fit in 64 bits")

@@ -72,7 +72,10 @@ class ConstraintError(ModelError):
 
 
 class SchemeId(Enum):
-    """Identifiers of the named scheme presets, in catalog order."""
+    """Identifiers of the named scheme presets, in catalog order.
+
+    Looking up any other value raises :class:`ParameterError`.
+    """
 
     I_A = "I_A"
     I_B = "I_B"
@@ -81,6 +84,10 @@ class SchemeId(Enum):
     III_A = "III_A"
     III_B = "III_B"
     IV = "IV"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ParameterError(f"unknown scheme {value!r}")
 
 
 #: Scheme -> (pinned move probabilities, help note).
@@ -308,11 +315,11 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
     about ε times the row mass, so slot masses far below that read 0.  The
     row is bit-identical to row ``n`` of :func:`closed_form_trajectory`.
     """
-    n = _check_int(n, "quantum count", 0)
+    n = _check_int(n, "quanta", 0)
     return Distribution(closed_form_table(preset.params, preset.pb, (n,))[0])
 
 
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:
     """All closed-form distributions for quanta ``0..n`` as a trajectory."""
-    n = _check_int(n, "quantum count", 0)
+    n = _check_int(n, "quanta", 0)
     return Trajectory._adopt(closed_form_table(preset.params, preset.pb, np.arange(n + 1)))

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import schedchain.cli as cli
-from schedchain import DimensionError, ParameterError
+from schedchain import ConstraintError, DimensionError, ParameterError
 from schedchain.cli import RunSpec, execute, main, parse_args, render_csv
 
 PB_ARG = "0.27,0.15,0.17,0.18,0.23"
@@ -128,6 +128,64 @@ def test_constraint_violation_exits_3(capsys):
     assert "constraint" in err
 
 
+@pytest.mark.parametrize(
+    "token, name", [("III_B:p=0.417,s=0.5,R=0.1", "R"), ("I_B:r=0.1,x=0.9", "x")]
+)
+def test_unknown_preset_parameter_exits_3_and_names_it(capsys, token, name):
+    code, out, err = run_cli(capsys, "compare", "--preset", token, "--pb", PB_ARG)
+    assert (code, out) == (3, "")
+    assert err == f"schedchain: constraint violation: unknown move probability {name!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, exc",
+    [
+        (["run", "--scheme", "I_B", "--r", "0.1", "--pb", PB_ARG], ConstraintError),
+        (["run", "--p", "0.5", "--s", "0.5", "--pb", PB_ARG], ParameterError),
+    ],
+    ids=["preset", "raw"],
+)
+def test_meta_with_an_unknown_parameter_gets_the_argv_message(capsys, argv, exc):
+    code, out, _ = run_cli(capsys, *argv, "--quanta", "2", "--format", "json")
+    assert code == 0
+    meta = {**json.loads(out)["meta"], "free": {"r": 0.1, "typo": 0.3}}
+    with pytest.raises(exc) as caught:
+        execute(RunSpec.from_meta(meta))
+    _, _, err = run_cli(capsys, "compare", "--preset", "I_B:r=0.1,typo=0.3", "--pb", PB_ARG)
+    assert err == f"schedchain: constraint violation: {caught.value}\n"
+
+
+@pytest.mark.parametrize("value", [True, "0.1"], ids=["bool", "text"])
+def test_meta_values_that_are_not_real_numbers_are_refused(value):
+    pb = {"pb": list(PB5), "quanta": 2}
+    for meta, exc in [
+        ({"command": "run", "scheme": "I_B", "free": {"r": value}}, ConstraintError),
+        ({"command": "run", "free": {"s": 0.9, "r": value}}, ParameterError),
+        ({"command": "compare", "presets": [{"scheme": "I_B", "free": {"r": value}}]},
+         ConstraintError),
+    ]:
+        with pytest.raises(exc, match=f"r must be a real number, got {value!r}"):
+            execute(RunSpec.from_meta({**meta, **pb}))
+
+
+@pytest.mark.parametrize(
+    "spec, argv",
+    [
+        (
+            RunSpec(command="run", free={"s": 0.5, "p": 0.5}, pb=PB5, quanta=2),
+            ["run", "--p", "0.5", "--s", "0.5", "--pb", PB_ARG, "--quanta", "2"],
+        ),
+        (
+            RunSpec(command="compare", presets=(("III_B", {"r": 0.166, "p": 0.417}),), pb=PB5),
+            ["compare", "--preset", "III_B:p=0.417,r=0.166", "--pb", PB_ARG],
+        ),
+    ],
+    ids=["raw", "compare"],
+)
+def test_hand_built_spec_emits_the_meta_of_the_same_argv(spec, argv):
+    assert cli.render_json(execute(spec)) == cli.render_json(execute(parse_args(argv)))
+
+
 def test_missing_pb_for_scheme_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--scheme", "I_A", "--quanta", "5")
     assert code == 2
@@ -139,18 +197,25 @@ def test_missing_pb_for_scheme_exits_2(capsys):
 
 # specs that parse_args never builds, as RunSpec or a hand-edited meta can
 @pytest.mark.parametrize(
-    "spec, exc",
+    "spec, exc, match",
     [
-        (RunSpec(command="nope"), ParameterError),
+        (RunSpec(command="nope"), ParameterError, "unknown command 'nope'"),
         (
             RunSpec(command="run", free={"p": 0.5, "s": 0.5}, pb=(0.5, 0.5), m=3),
             DimensionError,
+            "m=3",
+        ),
+        (RunSpec(command="run", scheme="NOPE", pb=(0.5, 0.5)), ParameterError, "'NOPE'"),
+        (
+            RunSpec(command="compare", presets=(("NOPE", {}),), pb=(0.5, 0.5)),
+            ParameterError,
+            "'NOPE'",
         ),
     ],
-    ids=["unknown-command", "pb-and-m-disagree"],
+    ids=["unknown-command", "pb-and-m-disagree", "unknown-scheme", "unknown-preset-scheme"],
 )
-def test_unknown_command_is_a_parameter_error(spec, exc):
-    with pytest.raises(exc):
+def test_unknown_command_is_a_parameter_error(spec, exc, match):
+    with pytest.raises(exc, match=match):
         execute(spec)
 
 
@@ -690,7 +755,7 @@ def test_value_error_through_the_process_entry_writes_no_output(tmp_path):
         capture_output=True, text=True, env=_child_env(),
     )
     assert (child.returncode, child.stdout) == (2, "")
-    assert child.stderr == "schedchain: error: n_walks must be >= 1, got 0\n"
+    assert child.stderr == "schedchain: error: walks must be >= 1, got 0\n"
     assert not target.exists()
 
 
