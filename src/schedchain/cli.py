@@ -41,6 +41,7 @@ from .model import (
     ModelError,
     ParameterError,
     SchemeParams,
+    _check_int,
     build_matrix,
     propagate,
     state_labels,
@@ -308,7 +309,7 @@ def _resolve(spec: RunSpec):
     values = {name: 0.0 for name in _PARAM_NAMES}
     values.update(spec.free)
     init = Distribution.from_process_probs(spec.pb)
-    if spec.m is not None and init.m != spec.m:
+    if spec.m is not None and init.m != _check_int(spec.m, "m", 2):
         raise DimensionError(f"pb has {init.m} entries but m={spec.m} was requested")
     params = SchemeParams(values["p"], values["s"], values["q"], values["r"], init.m)
     return params, init, None
@@ -430,12 +431,18 @@ def _check_sizes(spec: RunSpec) -> None:
 
     Every command holds a ``(quanta + 1) x (m + 1)`` table of 8-byte numbers,
     and the Monte Carlo commands 8 bytes a walk.  numpy refuses an array of
-    more than ``sys.maxsize`` bytes with a ValueError, not a MemoryError.
+    more than ``sys.maxsize`` bytes with a ValueError, not a MemoryError.  Only
+    integer counts are sized; the engine that takes any other value refuses it.
     """
-    m = spec.m if spec.m is not None else len(spec.pb) if spec.pb is not None else 2
-    if 8 * (spec.quanta + 1) * (m + 1) > sys.maxsize:
-        raise MemoryError(f"a {spec.quanta + 1} x {m + 1} table is too large to allocate")
-    if 8 * (spec.walks or 0) > sys.maxsize:
+
+    def count(value, default: int) -> int:
+        return int(value) if isinstance(value, (int, np.integer)) else default
+
+    m = count(spec.m, len(spec.pb) if spec.pb is not None else 2)
+    quanta = count(spec.quanta, 0)
+    if 8 * (quanta + 1) * (m + 1) > sys.maxsize:
+        raise MemoryError(f"a {quanta + 1} x {m + 1} table is too large to allocate")
+    if 8 * count(spec.walks, 0) > sys.maxsize:
         raise MemoryError(f"{spec.walks} walks are too many to allocate")
 
 

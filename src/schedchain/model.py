@@ -7,15 +7,15 @@ probability ``p``, stays put with ``s``, retreats to the previous slot with
 (the slot after ``Pm`` is ``P1``), and ``D`` is absorbing: a deadlocked
 scheduler never returns to the ring.
 
-All state vectors and matrices order the states ``P1..Pm`` followed by ``D``;
-a trajectory is one array with a row per quantum.  One quantum is a stencil on
-the ring, so exact propagation never forms the dense ``(m + 1)²`` matrix:
-:class:`TransitionMatrix` holds the move probabilities, and :func:`propagate`
-advances blocks of quanta with precomputed short kernels (the matrix-powers
-kernel of Demmel, Hoemmen, Mohiyuddin and Yelick, "Avoiding communication in
-sparse matrix computations", IPDPS 2008).  Every type in this module
-is validated once, at construction, and immutable after it, so it is safe to
-share across threads; the operations are pure functions.
+All state vectors order the states ``P1..Pm`` followed by ``D``; a trajectory
+is one array with a row per quantum.  The chain's transition matrix is a
+stencil on the ring that :class:`SchemeParams` fixes, so exact propagation
+never forms the dense ``(m + 1)²`` matrix: :func:`propagate` takes the
+parameters themselves and advances blocks of quanta with precomputed short
+kernels (the matrix-powers kernel of Demmel, Hoemmen, Mohiyuddin and Yelick,
+"Avoiding communication in sparse matrix computations", IPDPS 2008).  Every
+type in this module is validated once, at construction, and immutable after
+it, so it is safe to share across threads; the operations are pure functions.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "DimensionError",
     "SchemeParams",
     "Distribution",
-    "TransitionMatrix",
     "Trajectory",
     "state_labels",
     "build_matrix",
@@ -195,47 +194,6 @@ class Distribution:
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """The one-quantum ring operator of a chain, held as its move probabilities.
-
-    One quantum maps the slot mass ``x`` to ``s·x + p·roll(x, 1) + q·roll(x, -1)``
-    and adds ``r·sum(x)`` to ``D``; :func:`propagate` applies that stencil
-    directly.  ``entries`` is the dense row-stochastic ``(m + 1) x (m + 1)``
-    matrix, rows and columns ordered ``P1..Pm, D``: a read-only array built
-    anew on each access, for inspection only.
-    """
-
-    params: SchemeParams
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.params, SchemeParams):
-            raise TypeError(f"TransitionMatrix takes SchemeParams, got {type(self.params).__name__}")
-
-    @property
-    def m(self) -> int:
-        return self.params.m
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense matrix: each slot row holds ``p`` on its successor, ``s`` on itself,
-        ``q`` on its predecessor and ``r`` on D; the D row is absorbing.
-
-        With ``m == 2`` the successor and predecessor coincide, so their masses
-        accumulate on the single neighbour.
-        """
-        params, m = self.params, self.params.m
-        t = np.zeros((m + 1, m + 1))
-        slots = np.arange(m)
-        t[slots, (slots + 1) % m] += params.p
-        t[slots, slots] += params.s
-        t[slots, (slots - 1) % m] += params.q
-        t[:m, m] = params.r
-        t[m, m] = 1.0
-        t.flags.writeable = False
-        return t
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Distributions for quanta ``0..N`` as one read-only ``(N + 1) x (m + 1)`` array.
 
@@ -290,12 +248,13 @@ class Trajectory:
         return slots / (slots + self.rows[:, -1])
 
 
-def build_matrix(params: SchemeParams) -> TransitionMatrix:
-    """The one-quantum ring operator for the given move probabilities.
+def build_matrix(params: SchemeParams) -> SchemeParams:
+    """The one-quantum ring operator for the given move probabilities: ``params`` itself.
 
-    Nothing of size ``(m + 1)²`` is allocated unless ``entries`` is read.
+    The parameters fix the whole transition matrix, and :func:`propagate` takes
+    them as they are.
     """
-    return TransitionMatrix(params)
+    return params
 
 
 #: Cells of kernels plus windows one propagation block may span.  A block's
@@ -343,11 +302,11 @@ def _kernels(params: SchemeParams, b: int, width: int) -> tuple[np.ndarray, np.n
     return ring[1:, 1:-1].astype(float), dead.astype(float)
 
 
-def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajectory:
-    """Propagate ``init`` for ``n`` quanta, returning all ``n + 1`` distributions.
+def propagate(init: Distribution, params: SchemeParams, n: int) -> Trajectory:
+    """Propagate ``init`` for ``n`` quanta of ``params``, returning all ``n + 1`` distributions.
 
     Row ``k`` lies ``k`` quanta after ``init``, which may be any distribution:
-    ``propagate(traj[k], matrix, n - k)`` continues ``traj`` from its row ``k``.
+    ``propagate(traj[k], params, n - k)`` continues ``traj`` from its row ``k``.
     The chain advances ``b`` quanta per block: about ``sqrt(n)``, fewer on
     wide rings.  The ``1..b``-quantum kernels are built once per call by
     stepping a unit mass with the ring stencil, and their taps fold mod ``m``
@@ -357,19 +316,21 @@ def propagate(init: Distribution, matrix: TransitionMatrix, n: int) -> Trajector
     start's slot mass.  Cost is O(N·m·width) plus the table; no ``(m + 1)²``
     array is allocated.  Every row is renormalized by the rule of
     ``_stochastic``, and each block starts from the renormalized last row of
-    the one before.  Rows differ from stepping ``matrix.entries`` one quantum at
+    the one before.  Rows differ from stepping the dense matrix one quantum at
     a time only by rounding: about 5e-15 at N = 20 000 on a five-slot ring.
     """
+    if not isinstance(params, SchemeParams):
+        raise TypeError(f"propagate takes SchemeParams, got {type(params).__name__}")
     n = _check_int(n, "quanta", 0)
-    m = matrix.m
+    m = params.m
     if init.probs.size != m + 1:
-        raise DimensionError(f"distribution has {init.probs.size} states but matrix has {m + 1}")
+        raise DimensionError(f"distribution has {init.probs.size} states but the chain has {m + 1}")
     table = np.empty((n + 1, m + 1))
     table[0] = init.probs
     if n:
         b = _block_quanta(n, m)
         width = min(2 * b + 1, m)
-        kernels, dead = _kernels(matrix.params, b, width)
+        kernels, dead = _kernels(params, b, width)
         # windows[i, j] = extended[i + j] = x[(j + i - b) mod m], offset b - i behind
         # slot j: a strided view, never copied
         gather = (np.arange(m + width - 1) - b) % m

@@ -120,7 +120,7 @@ class OccupancyEstimate:
     n_walks: int
 
     def __post_init__(self) -> None:
-        n_walks = _check_int(self.n_walks, "n_walks", 1)
+        n_walks = _check_int(self.n_walks, "walks", 1)
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iu":
             raise ParameterError(f"counts must hold integers, got dtype {counts.dtype}")
@@ -138,7 +138,7 @@ class OccupancyEstimate:
             if np.minimum.reduce(block, axis=None, initial=0) < 0:
                 raise ParameterError("counts must be non-negative")
             if np.any(block.sum(axis=1) != n_walks):
-                raise ParameterError("every counts row must sum to n_walks")
+                raise ParameterError("every counts row must sum to walks")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n_walks", n_walks)
 
@@ -164,7 +164,7 @@ class AbsorptionSample:
     horizon: int
 
     def __post_init__(self) -> None:
-        horizon = _check_int(self.horizon, "horizon", 0)
+        horizon = _check_int(self.horizon, "quanta", 0)
         hits = np.asarray(self.first_hit)
         if hits.ndim != 1 or hits.size == 0:
             raise DimensionError("first_hit must be a non-empty vector")

@@ -211,8 +211,33 @@ def test_missing_pb_for_scheme_exits_2(capsys):
             ParameterError,
             "'NOPE'",
         ),
+        # a count that is not an integer is not sized but left to the engine
+        # that refuses it; a raw run refuses a float m as make_preset does
+        (
+            RunSpec(command="run", scheme="I_A", pb=(0.5, 0.5), quanta="5"),
+            ParameterError,
+            "^quanta must be an integer",
+        ),
+        (
+            RunSpec(command="simulate", scheme="I_A", pb=(0.5, 0.5), walks="10", seed=0),
+            ParameterError,
+            "^walks must be an integer",
+        ),
+        (
+            RunSpec(command="run", free={"s": 1.0}, pb=(0.5, 0.5), m="2"),
+            ParameterError,
+            "^m must be an integer",
+        ),
+        (
+            RunSpec(command="run", free={"s": 1.0}, pb=(0.5, 0.5), m=2.0),
+            ParameterError,
+            "^m must be an integer",
+        ),
     ],
-    ids=["unknown-command", "pb-and-m-disagree", "unknown-scheme", "unknown-preset-scheme"],
+    ids=[
+        "unknown-command", "pb-and-m-disagree", "unknown-scheme", "unknown-preset-scheme",
+        "text-quanta", "text-walks", "text-m", "float-m",
+    ],
 )
 def test_unknown_command_is_a_parameter_error(spec, exc, match):
     with pytest.raises(exc, match=match):

@@ -18,7 +18,6 @@ from schedchain import (
     ParameterError,
     SchemeParams,
     Trajectory,
-    TransitionMatrix,
     build_matrix,
     closed_form_table,
     jain_fairness,
@@ -133,8 +132,27 @@ def test_distribution_is_immutable():
 # matrix construction
 
 
+def _dense(params: SchemeParams) -> np.ndarray:
+    """Oracle: the dense row-stochastic ``(m + 1)²`` transition matrix of ``params``.
+
+    Rows and columns are ordered ``P1..Pm, D``.  Each slot row holds ``p`` on its
+    successor, ``s`` on itself, ``q`` on its predecessor and ``r`` on D; the D
+    row is absorbing.  With ``m == 2`` the successor and predecessor coincide,
+    so their masses accumulate on the single neighbour.
+    """
+    m = params.m
+    t = np.zeros((m + 1, m + 1))
+    slots = np.arange(m)
+    t[slots, (slots + 1) % m] += params.p
+    t[slots, slots] += params.s
+    t[slots, (slots - 1) % m] += params.q
+    t[:m, m] = params.r
+    t[m, m] = 1.0
+    return t
+
+
 def test_build_matrix_pure_cycle():
-    mat = build_matrix(SchemeParams(1.0, 0.0, 0.0, 0.0, 3))
+    mat = _dense(build_matrix(SchemeParams(1.0, 0.0, 0.0, 0.0, 3)))
     expected = np.array(
         [
             [0, 1, 0, 0],
@@ -144,47 +162,49 @@ def test_build_matrix_pure_cycle():
         ],
         dtype=float,
     )
-    assert np.array_equal(mat.entries, expected)
+    assert np.array_equal(mat, expected)
 
 
 def test_build_matrix_identity_on_processes():
-    mat = build_matrix(SchemeParams(0.0, 1.0, 0.0, 0.0, 5))
-    assert np.array_equal(mat.entries, np.eye(6))
+    mat = _dense(build_matrix(SchemeParams(0.0, 1.0, 0.0, 0.0, 5)))
+    assert np.array_equal(mat, np.eye(6))
 
 
 def test_build_matrix_advance_or_deadlock():
-    mat = build_matrix(SchemeParams(0.834, 0.0, 0.0, 0.166, 5))
+    mat = _dense(build_matrix(SchemeParams(0.834, 0.0, 0.0, 0.166, 5)))
     for i in range(5):
         row = np.zeros(6)
         row[(i + 1) % 5] = 0.834
         row[5] = 0.166
-        assert np.array_equal(mat.entries[i], row)
-    assert np.array_equal(mat.entries[5], [0, 0, 0, 0, 0, 1])
+        assert np.array_equal(mat[i], row)
+    assert np.array_equal(mat[5], [0, 0, 0, 0, 0, 1])
 
 
 def test_build_matrix_two_slots_merges_neighbours():
-    mat = build_matrix(SchemeParams(0.3, 0.2, 0.4, 0.1, 2))
+    mat = _dense(build_matrix(SchemeParams(0.3, 0.2, 0.4, 0.1, 2)))
     # successor and predecessor of each slot coincide when m == 2
-    assert mat.entries[0, 1] == pytest.approx(0.7, abs=1e-15)
-    assert mat.entries[0, 0] == pytest.approx(0.2, abs=1e-15)
-    assert mat.entries[0, 2] == pytest.approx(0.1, abs=1e-15)
+    assert mat[0, 1] == pytest.approx(0.7, abs=1e-15)
+    assert mat[0, 0] == pytest.approx(0.2, abs=1e-15)
+    assert mat[0, 2] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_transition_matrix_is_the_ring_operator():
+    # the parameters are the operator: propagate steps them as the dense matrix would
     params = SchemeParams(0.3, 0.2, 0.4, 0.1, 4)
-    mat = build_matrix(params)
-    assert mat.params is params and mat.m == 4
-    assert not mat.entries.flags.writeable
+    assert build_matrix(params) is params
+    init = Distribution.from_process_probs((0.1, 0.2, 0.3, 0.4))
+    out = propagate(init, params, 1)[1]
+    np.testing.assert_allclose(out.probs, init.probs @ _dense(params), rtol=0.0, atol=1e-15)
     with pytest.raises(TypeError):
-        TransitionMatrix(np.eye(5))  # a hand-built matrix is not a chain
+        propagate(init, np.eye(5), 1)  # a hand-built matrix is not a chain
 
 
 # ---------------------------------------------------------------------------
 # one quantum
 
 
-def _one_step(dist, mat):
-    return propagate(dist, mat, 1)[1]
+def _one_step(dist, params):
+    return propagate(dist, params, 1)[1]
 
 
 def test_step_leaves_deadlock_alone():
@@ -296,18 +316,18 @@ def test_propagate_renormalizes_each_quantum():
     # starts each block of quanta from a renormalised row, so no overshoot is
     # ever fed forward.
     params = SchemeParams(0.1, 0.4, 0.07, 0.43, 2)
-    mat = build_matrix(params)
-    traj = propagate(Distribution.from_process_probs((0.8, 0.2)), mat, 200)
+    mat = _dense(params)
+    traj = propagate(Distribution.from_process_probs((0.8, 0.2)), build_matrix(params), 200)
     table = traj.to_array()
 
     raw = table[0]
     overshoots = 0
     for _ in range(200):
-        raw = raw @ mat.entries
+        raw = raw @ mat
         overshoots += raw[-1] > 1.0
     assert overshoots > 100
 
-    _assert_matches_stepping(table, _stepped(table[0], mat.entries, 200))
+    _assert_matches_stepping(table, _stepped(table[0], mat, 200))
 
     # D reads 1.0 from quantum 63 on, but the slots still hold mass, so
     # fairness comes from the slot shares in every row
@@ -324,10 +344,10 @@ def test_drained_chains_match_per_quantum_stepping():
         m = int(rng.integers(2, 11))
         r = rng.uniform(0.3, 0.95)
         p, s, q = rng.dirichlet(np.ones(3)) * (1.0 - r)
-        mat = build_matrix(SchemeParams(p, s, q, r, m))
+        params = SchemeParams(p, s, q, r, m)
         init = Distribution.from_process_probs(rng.dirichlet(np.ones(m)))
-        table = propagate(init, mat, 400).to_array()
-        _assert_matches_stepping(table, _stepped(init.probs, mat.entries, 400))
+        table = propagate(init, build_matrix(params), 400).to_array()
+        _assert_matches_stepping(table, _stepped(init.probs, _dense(params), 400))
 
 
 def test_long_horizon_rows_keep_rounding_error_small():
@@ -357,13 +377,12 @@ def test_blocks_start_from_renormalized_rows():
     # mass.  Fed forward unchecked over 20 000 quanta that drift would pass
     # DRIFT_TOL; renormalised at each block start it stays near ATOL.
     params = SchemeParams(0.4, 0.3, 0.2999, 1e-4 + 9e-13, 5)
-    mat = build_matrix(params)
     init = Distribution.from_process_probs(PB5)
-    table = propagate(init, mat, 20_000).to_array()
+    table = propagate(init, build_matrix(params), 20_000).to_array()
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= ATOL
     # stepping renormalises whenever a row drifts past ATOL, so its rows are
     # scaled by up to 1 + ATOL against these
-    assert np.max(np.abs(table - _stepped(init.probs, mat.entries, 20_000))) <= 2 * ATOL
+    assert np.max(np.abs(table - _stepped(init.probs, _dense(params), 20_000))) <= 2 * ATOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,10 +391,10 @@ def test_blocked_rows_match_dense_stepping(m, probs, n, data):
     # q > 0 throughout; at m = 2 the successor and predecessor coincide, and at
     # m = 40 blocks of up to 20 quanta fold their taps onto the ring or not
     raw_pb = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(any))
-    mat = build_matrix(SchemeParams(*probs, m))
+    params = SchemeParams(*probs, m)
     init = Distribution.from_process_probs(np.array(raw_pb) / sum(raw_pb))
-    table = propagate(init, mat, n).to_array()
-    assert np.max(np.abs(table - _stepped(init.probs, mat.entries, n))) <= 1e-14
+    table = propagate(init, build_matrix(params), n).to_array()
+    assert np.max(np.abs(table - _stepped(init.probs, _dense(params), n))) <= 1e-14
 
 
 def test_propagate_is_not_quadratic():
@@ -450,8 +469,7 @@ def test_trajectory_rows_are_read_only_views():
 @given(case=chain_case())
 def test_rows_are_stochastic(case):
     params, _ = case
-    mat = build_matrix(params)
-    sums = mat.entries.sum(axis=1)
+    sums = _dense(build_matrix(params)).sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) <= ATOL
 
 
@@ -459,8 +477,7 @@ def test_rows_are_stochastic(case):
 @given(case=chain_case(), n=st.integers(0, 200))
 def test_mass_conserved_and_deadlock_monotone(case, n):
     params, pb = case
-    mat = build_matrix(params)
-    traj = propagate(Distribution.from_process_probs(pb), mat, n)
+    traj = propagate(Distribution.from_process_probs(pb), build_matrix(params), n)
     table = traj.to_array()
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= ATOL
     dead = table[:, -1]
@@ -468,9 +485,9 @@ def test_mass_conserved_and_deadlock_monotone(case, n):
         assert np.min(np.diff(dead)) >= -ATOL
 
     # same check on raw products, without any construction-time cleanup
-    vec = np.append(pb, 0.0)
+    vec, mat = np.append(pb, 0.0), _dense(params)
     for _ in range(min(n, 50)):
-        vec = vec @ mat.entries
+        vec = vec @ mat
         assert abs(vec.sum() - 1.0) <= ATOL
 
 
@@ -484,7 +501,7 @@ def test_uniform_is_fixed_point_without_deadlock(m, probs):
     out = propagate(uniform, build_matrix(params), 1)[1]
     assert np.max(np.abs(out.probs - uniform.probs)) <= ATOL
     # process block is doubly stochastic when r == 0
-    block = build_matrix(params).entries[:m, :m]
+    block = _dense(build_matrix(params))[:m, :m]
     assert np.max(np.abs(block.sum(axis=0) - 1.0)) <= ATOL
 
 

@@ -62,43 +62,46 @@ def test_config_dimension_mismatch():
         SimConfig(params, init, n_quanta=5, n_walks=10, seed=0)
 
 
+# messages name the counts walks and quanta, as SimConfig and the CLI do
 @pytest.mark.parametrize(
-    "counts, n_walks, exc",
+    "counts, n_walks, exc, match",
     [
-        (np.zeros((2, 3), dtype=np.int64), 0, ParameterError),  # no walks to normalize by
+        # no walks to normalize by
+        (np.zeros((2, 3), dtype=np.int64), 0, ParameterError, "^walks must be >= 1"),
         # a negative count in a row of the right sum
-        (np.array([[-1, 2, 0]]), 1, ParameterError),
-        (np.array([[1, 0, 0], [0, 2, 0]]), 1, ParameterError),  # a row of another sum
-        (np.zeros((0, 3), dtype=np.int64), 1, DimensionError),  # no quantum 0
-        (np.ones((2, 1), dtype=np.int64), 1, DimensionError),  # no slot, only D
-        (np.array([[1, 0], [1, 0]]), 1, DimensionError),  # one slot plus D
+        (np.array([[-1, 2, 0]]), 1, ParameterError, None),
+        # a row of another sum
+        (np.array([[1, 0, 0], [0, 2, 0]]), 1, ParameterError, "sum to walks$"),
+        (np.zeros((0, 3), dtype=np.int64), 1, DimensionError, None),  # no quantum 0
+        (np.ones((2, 1), dtype=np.int64), 1, DimensionError, None),  # no slot, only D
+        (np.array([[1, 0], [1, 0]]), 1, DimensionError, None),  # one slot plus D
         # rows that would sum to n_walks once truncated to integers
-        (np.array([[1.7, 0, 0], [0.2, 1.9, 0]]), 1, ParameterError),
-        (np.array([[True, False, False]]), 1, ParameterError),  # not a count
+        (np.array([[1.7, 0, 0], [0.2, 1.9, 0]]), 1, ParameterError, None),
+        (np.array([[True, False, False]]), 1, ParameterError, None),  # not a count
     ],
     ids=[
         "no-walks", "negative-count", "row-sum", "no-rows", "one-column", "two-columns",
         "fractional", "bool",
     ],
 )
-def test_occupancy_estimate_rejects_inconsistent_counts(counts, n_walks, exc):
-    with pytest.raises(exc):
+def test_occupancy_estimate_rejects_inconsistent_counts(counts, n_walks, exc, match):
+    with pytest.raises(exc, match=match):
         mc.OccupancyEstimate(counts, n_walks)
 
 
 @pytest.mark.parametrize(
-    "first_hit, horizon, exc",
+    "first_hit, horizon, exc, match",
     [
-        ([5, -7, 3], -2, ParameterError),  # a negative horizon
-        ([5, -7, 3], 6, ParameterError),  # -7 is neither a quantum nor CENSORED
-        ([0, 6], 5, ParameterError),  # a hit past the horizon
-        ([1.7], 5, ParameterError),  # a fractional hit
-        (np.empty(0, dtype=np.int64), 5, DimensionError),  # no walks
+        ([5, -7, 3], -2, ParameterError, "^quanta must be >= 0"),  # a negative horizon
+        ([5, -7, 3], 6, ParameterError, None),  # -7 is neither a quantum nor CENSORED
+        ([0, 6], 5, ParameterError, None),  # a hit past the horizon
+        ([1.7], 5, ParameterError, None),  # a fractional hit
+        (np.empty(0, dtype=np.int64), 5, DimensionError, None),  # no walks
     ],
     ids=["negative-horizon", "below-censored", "past-horizon", "fractional", "empty"],
 )
-def test_absorption_sample_rejects_inconsistent_hits(first_hit, horizon, exc):
-    with pytest.raises(exc):
+def test_absorption_sample_rejects_inconsistent_hits(first_hit, horizon, exc, match):
+    with pytest.raises(exc, match=match):
         mc.AbsorptionSample(first_hit, horizon)
 
 
