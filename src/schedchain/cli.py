@@ -57,7 +57,7 @@ from .schemes import (
 
 __all__ = ["RunSpec", "EngineDivergence", "parse_args", "execute", "emit", "main"]
 
-#: Maximum componentwise gap tolerated by ``run --verify``.
+#: Largest gap ``run --verify`` tolerates, per cell and relative to a row's mass.
 VERIFY_TOL = 1e-10
 
 _PARAM_NAMES = ("p", "s", "q", "r")
@@ -93,10 +93,11 @@ class EngineDivergence(RuntimeError):
 
 @dataclass
 class RunSpec:
-    """Everything one invocation computes, minus where the output goes.
+    """Everything one invocation computes, where its output goes and whether it is verified.
 
-    ``free`` and each preset's parameters are ordered by ``_canon_free`` and
-    otherwise kept as given; the engines refuse what they cannot take.
+    ``meta`` holds every field but ``output`` and ``verify``.  ``free`` and
+    each preset's parameters are ordered by ``_canon_free`` and otherwise
+    kept as given; the engines refuse what they cannot take.
     """
 
     command: str
@@ -110,12 +111,11 @@ class RunSpec:
     fmt: str = "csv"
     output: str | None = None
     verify: bool = False
-    presets: tuple[tuple[str, dict[str, float]], ...] | None = None
+    presets: tuple[tuple[str, dict[str, float]], ...] = ()
 
     def __post_init__(self) -> None:
         self.free = _canon_free(self.free)
-        if self.presets is not None:
-            self.presets = tuple((scheme, _canon_free(free)) for scheme, free in self.presets)
+        self.presets = tuple((scheme, _canon_free(free)) for scheme, free in self.presets)
 
     def to_meta(self, engine: str) -> dict:
         meta = {
@@ -131,7 +131,7 @@ class RunSpec:
             "engine": engine,
             "version": __version__,
         }
-        if self.presets is not None:
+        if self.presets:
             meta["presets"] = [
                 {"scheme": scheme, "free": dict(free)} for scheme, free in self.presets
             ]
@@ -140,7 +140,6 @@ class RunSpec:
     @classmethod
     def from_meta(cls, meta: dict) -> "RunSpec":
         """Rebuild the spec from an emitted JSON ``meta`` block."""
-        presets = meta.get("presets")
         return cls(
             command=meta["command"],
             scheme=meta.get("scheme"),
@@ -151,7 +150,7 @@ class RunSpec:
             walks=meta.get("walks"),
             seed=meta.get("seed"),
             fmt=meta.get("format", "json"),
-            presets=None if presets is None else [(e["scheme"], e["free"]) for e in presets],
+            presets=[(e["scheme"], e["free"]) for e in meta.get("presets", ())],
         )
 
 
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each option's dest names the RunSpec field it fills; these are the
     # fields some subcommand has no option for
     parser.set_defaults(
-        verify=False, **dict.fromkeys(("scheme", *_PARAM_NAMES, "walks", "seed", "presets"))
+        verify=False, presets=(), **dict.fromkeys(("scheme", *_PARAM_NAMES, "walks", "seed"))
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,7 +299,7 @@ def parse_args(argv=None) -> RunSpec:
 def _resolve(spec: RunSpec):
     """RunSpec -> (params, init, preset or None)."""
     if spec.scheme is not None:
-        preset = make_preset(SchemeId(spec.scheme), spec.free or None, pb=spec.pb, m=spec.m)
+        preset = make_preset(SchemeId(spec.scheme), spec.free, pb=spec.pb, m=spec.m)
         return preset.params, preset.init, preset
     if spec.pb is None:
         raise ParameterError("raw-parameter runs need --pb")
@@ -315,8 +314,8 @@ def _resolve(spec: RunSpec):
     return params, init, None
 
 
-def _trajectory_payload(spec: RunSpec, engine: str, table: np.ndarray, m: int) -> Payload:
-    columns = ["quantum"] + state_labels(m)
+def _trajectory_payload(spec: RunSpec, engine: str, table: np.ndarray) -> Payload:
+    columns = ["quantum"] + state_labels(table.shape[1] - 1)
     rows = [[n] + row for n, row in enumerate(table.tolist())]
     return Payload(spec.to_meta(engine), columns, rows)
 
@@ -326,18 +325,28 @@ def _exec_run(spec: RunSpec) -> Payload:
     table = propagate(init, build_matrix(params), spec.quanta).to_array()
     if spec.verify:
         analytic = closed_form_table(params, init.processes, np.arange(spec.quanta + 1))
-        gap = float(np.max(np.abs(table - analytic)))
-        if not gap <= VERIFY_TOL:  # also when the closed form holds a NaN
+        diff = np.abs(table - analytic)
+        # each row's largest slot gap over its ring mass and its D gap over D, where
+        # that mass is a normal float, so rows lighter than VERIFY_TOL are checked too
+        mass = np.stack([np.add.reduce(table[:, :-1], axis=1), table[:, -1]], axis=1)
+        gaps = np.stack([np.maximum.reduce(diff[:, :-1], axis=1), diff[:, -1]], axis=1)
+        normal = mass >= np.finfo(float).tiny
+        gap = float(np.max(diff))
+        scaled = float(np.max(gaps[normal] / mass[normal], initial=0.0))
+        if not (gap <= VERIFY_TOL and scaled <= VERIFY_TOL):  # also on a NaN
             raise EngineDivergence(
-                f"matrix and closed-form engines diverge by {gap:.3e} (> {VERIFY_TOL:g})"
+                f"matrix and closed-form engines diverge by {gap:.3e}, "
+                f"{scaled:.3e} of a row's mass (> {VERIFY_TOL:g})"
             )
-    return _trajectory_payload(spec, "matrix", table, params.m)
+    return _trajectory_payload(spec, "matrix", table)
 
 
 def _exec_closed_form(spec: RunSpec) -> Payload:
+    if spec.scheme is None:
+        raise ParameterError("closed-form needs a scheme")
     _, _, preset = _resolve(spec)
     trajectory = closed_form_trajectory(preset, spec.quanta)
-    return _trajectory_payload(spec, "closed-form", trajectory.to_array(), preset.params.m)
+    return _trajectory_payload(spec, "closed-form", trajectory.to_array())
 
 
 def _exec_simulate(spec: RunSpec) -> Payload:
@@ -346,7 +355,7 @@ def _exec_simulate(spec: RunSpec) -> Payload:
     params, init, _ = _resolve(spec)
     config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
     estimate = simulate(config)
-    payload = _trajectory_payload(spec, "montecarlo", estimate.frequencies, params.m)
+    payload = _trajectory_payload(spec, "montecarlo", estimate.frequencies)
     payload.extra = {"n_walks": estimate.n_walks}
     return payload
 
@@ -382,7 +391,7 @@ def _exec_absorb(spec: RunSpec) -> Payload:
 
 def _exec_compare(spec: RunSpec) -> Payload:
     presets = [
-        make_preset(SchemeId(scheme), free or None, pb=spec.pb, m=spec.m)
+        make_preset(SchemeId(scheme), free, pb=spec.pb, m=spec.m)
         for scheme, free in spec.presets
     ]
     report = compare_presets(presets, spec.quanta)
@@ -438,7 +447,8 @@ def _check_sizes(spec: RunSpec) -> None:
     def count(value, default: int) -> int:
         return int(value) if isinstance(value, (int, np.integer)) else default
 
-    m = count(spec.m, len(spec.pb) if spec.pb is not None else 2)
+    # as objects, so a pb of text or ragged lists is counted, not converted
+    m = count(spec.m, np.asarray(spec.pb, dtype=object).size)
     quanta = count(spec.quanta, 0)
     if 8 * (quanta + 1) * (m + 1) > sys.maxsize:
         raise MemoryError(f"a {quanta + 1} x {m + 1} table is too large to allocate")
@@ -457,11 +467,10 @@ def execute(spec: RunSpec) -> Payload:
 
 
 def render_csv(payload: Payload) -> str:
+    # floats print with 12 significant digits, anything else as str()
+    template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in payload.rows[0])
     lines = [",".join(payload.columns)]
-    if payload.rows:
-        # floats print with 12 significant digits, anything else as str()
-        template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in payload.rows[0])
-        lines.extend(template % tuple(row) for row in payload.rows)
+    lines.extend(template % tuple(row) for row in payload.rows)
     return "\n".join(lines) + "\n"
 
 

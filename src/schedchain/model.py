@@ -174,7 +174,10 @@ class Distribution:
     @classmethod
     def from_process_probs(cls, pb) -> "Distribution":
         """Distribution with the given mass on the process slots and none on D."""
-        pb = np.asarray(pb, dtype=float)
+        try:
+            pb = np.asarray(pb, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"pb must hold numbers ({exc})") from None
         if pb.ndim != 1:
             raise DimensionError("pb must be one-dimensional")
         return cls(np.append(pb, 0.0))
@@ -327,27 +330,26 @@ def propagate(init: Distribution, params: SchemeParams, n: int) -> Trajectory:
         raise DimensionError(f"distribution has {init.probs.size} states but the chain has {m + 1}")
     table = np.empty((n + 1, m + 1))
     table[0] = init.probs
-    if n:
-        b = _block_quanta(n, m)
-        width = min(2 * b + 1, m)
-        kernels, dead = _kernels(params, b, width)
-        # windows[i, j] = extended[i + j] = x[(j + i - b) mod m], offset b - i behind
-        # slot j: a strided view, never copied
-        gather = (np.arange(m + width - 1) - b) % m
-        extended = np.empty(m + width - 1)
-        windows = np.lib.stride_tricks.sliding_window_view(extended, m)
-        # a block's D column is its start's D plus each kernel's deadlock tap times
-        # the start's slot mass
-        deadlock, slots = table[0, m], np.add.reduce(table[0, :m])
-        for k in range(0, n, b):
-            rows = table[k + 1 : k + 1 + b]
-            c = rows.shape[0]
-            np.take(table[k], gather, out=extended)
-            np.matmul(kernels[:c], windows, out=rows[:, :m])
-            rows[:, m] = dead[:c] * slots + deadlock
-            last = rows[-1]
-            deadlock, slots = last[m], np.add.reduce(last[:m])
-            total = slots + deadlock
-            if _renormalize(last, total, abs(total - 1.0), total):
-                deadlock, slots = last[m], slots / total
+    b = _block_quanta(n, m)
+    width = min(2 * b + 1, m)
+    kernels, dead = _kernels(params, b, width)
+    # windows[i, j] = extended[i + j] = x[(j + i - b) mod m], offset b - i behind
+    # slot j: a strided view, never copied
+    gather = (np.arange(m + width - 1) - b) % m
+    extended = np.empty(m + width - 1)
+    windows = np.lib.stride_tricks.sliding_window_view(extended, m)
+    # a block's D column is its start's D plus each kernel's deadlock tap times
+    # the start's slot mass
+    deadlock, slots = table[0, m], np.add.reduce(table[0, :m])
+    for k in range(0, n, b):
+        rows = table[k + 1 : k + 1 + b]
+        c = rows.shape[0]
+        np.take(table[k], gather, out=extended)
+        np.matmul(kernels[:c], windows, out=rows[:, :m])
+        rows[:, m] = dead[:c] * slots + deadlock
+        last = rows[-1]
+        deadlock, slots = last[m], np.add.reduce(last[:m])
+        total = slots + deadlock
+        if _renormalize(last, total, abs(total - 1.0), total):
+            deadlock, slots = last[m], slots / total
     return Trajectory._adopt(table)

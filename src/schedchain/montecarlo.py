@@ -143,10 +143,6 @@ class OccupancyEstimate:
         object.__setattr__(self, "n_walks", n_walks)
 
     @property
-    def n_quanta(self) -> int:
-        return self.counts.shape[0] - 1
-
-    @property
     def frequencies(self) -> np.ndarray:
         """Counts normalized to per-quantum relative frequencies."""
         return self.counts / float(self.n_walks)
@@ -183,12 +179,8 @@ class AbsorptionSample:
         return self.first_hit.size
 
     @property
-    def censored(self) -> np.ndarray:
-        return self.first_hit == CENSORED
-
-    @property
     def n_censored(self) -> int:
-        return int(self.censored.sum())
+        return int((self.first_hit == CENSORED).sum())
 
     @property
     def censored_fraction(self) -> float:
@@ -197,7 +189,7 @@ class AbsorptionSample:
     @property
     def mean_first_hit(self) -> float:
         """Empirical mean of the uncensored hit times (NaN if all censored)."""
-        observed = self.first_hit[~self.censored]
+        observed = self.first_hit[self.first_hit != CENSORED]
         if observed.size == 0:
             return float("nan")
         return float(observed.mean())
@@ -393,10 +385,9 @@ def _sweep(
                 u = draws[:n].reshape(shape)
                 dd = dead[:n].reshape(shape)
                 streams.fill(config.seed, lo, u, t0)
-                if t0 == 0:
-                    slot = np.searchsorted(cdf, u[:, 0], side="right")
                 np.greater_equal(u, c3, out=dd)
                 if t0 == 0:
+                    slot = np.searchsorted(cdf, u[:, 0], side="right")
                     dd[:, 0] = slot == m
 
                 # first hits: the first deadlock column of a walk still alive

@@ -137,11 +137,6 @@ class SchemePreset:
         if self.scheme is SchemeId.IV and not _is_unit_on_first(self.init.processes):
             raise ConstraintError("scheme IV starts at P1; pb must put all mass there")
 
-    @property
-    def pb(self) -> np.ndarray:
-        """Initial mass over the process slots."""
-        return self.init.processes
-
 
 def _is_unit_on_first(pb: np.ndarray) -> bool:
     return abs(float(pb[0]) - 1.0) <= ATOL and float(pb[1:].max(initial=0.0)) <= ATOL
@@ -316,10 +311,11 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
     row is bit-identical to row ``n`` of :func:`closed_form_trajectory`.
     """
     n = _check_int(n, "quanta", 0)
-    return Distribution(closed_form_table(preset.params, preset.pb, (n,))[0])
+    return Distribution(closed_form_table(preset.params, preset.init.processes, (n,))[0])
 
 
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:
     """All closed-form distributions for quanta ``0..n`` as a trajectory."""
     n = _check_int(n, "quanta", 0)
-    return Trajectory._adopt(closed_form_table(preset.params, preset.pb, np.arange(n + 1)))
+    table = closed_form_table(preset.params, preset.init.processes, np.arange(n + 1))
+    return Trajectory._adopt(table)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: parsing, outputs, exit codes."""
 
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -9,6 +10,7 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import schedchain.cli as cli
@@ -233,10 +235,29 @@ def test_missing_pb_for_scheme_exits_2(capsys):
             ParameterError,
             "^m must be an integer",
         ),
+        # argparse requires a closed-form scheme and a preset, and reads --pb as
+        # numbers; a spec skips argparse and gets the engines' errors instead
+        (
+            RunSpec(command="closed-form", free={"p": 0.5, "s": 0.5}, pb=(0.5, 0.5)),
+            ParameterError,
+            "closed-form needs a scheme",
+        ),
+        (RunSpec(command="compare", pb=(0.5, 0.5)), ParameterError, "at least one preset"),
+        (
+            RunSpec(command="run", free={"s": 1.0}, pb=2.5),
+            DimensionError,
+            "pb must be one-dimensional",
+        ),
+        (
+            RunSpec(command="run", free={"s": 1.0}, pb=("a", "b")),
+            ParameterError,
+            "^pb must hold numbers",
+        ),
     ],
     ids=[
         "unknown-command", "pb-and-m-disagree", "unknown-scheme", "unknown-preset-scheme",
         "text-quanta", "text-walks", "text-m", "float-m",
+        "closed-form-without-scheme", "compare-without-presets", "scalar-pb", "text-pb",
     ],
 )
 def test_unknown_command_is_a_parameter_error(spec, exc, match):
@@ -341,6 +362,7 @@ def test_simulate_is_byte_identical_across_runs(capsys):
             "simulate", "--scheme", "II_B", "--p", "0.834", "--pb", PB_ARG,
             "--quanta", "8", "--walks", "4000", "--seed", "77",
         ],
+        ["run", "--scheme", "III_B", "--p", "0.417", "--r", "0.166", "--pb", PB_ARG, "-n", "7"],
         [
             "compare", "--preset", "I_B:r=0.166", "--preset", "II_B:r=0.166",
             "--preset", "III_B:p=0.417,r=0.166", "--pb", PB_ARG, "--quanta", "50",
@@ -357,15 +379,25 @@ def test_simulate_is_byte_identical_across_runs(capsys):
             "--seed", str(2 ** 64 - 59),
         ],
     ],
-    ids=["simulate", "compare", "compare-IV", "absorb", "closed-form-IV", "raw-simulate"],
+    ids=["simulate", "run", "compare", "compare-IV", "absorb", "closed-form-IV", "raw-simulate"],
 )
 def test_json_meta_round_trips_byte_identically(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     meta = json.loads(out)["meta"]
     respec = RunSpec.from_meta(meta)
+    # a field that meta left out would come back as its default
+    assert respec == parse_args([*argv, "--format", "json"])
     payload = execute(respec)
     assert cli.render_json(payload) == out
+
+
+def test_meta_carries_every_spec_field_but_output_and_verify():
+    meta = parse_args(["compare", "--preset", "I_A", "--pb", "0.5,0.5"]).to_meta("matrix")
+    fields = {f.name for f in dataclasses.fields(RunSpec)} - {"output", "verify"}
+    assert meta.keys() - {"engine", "version"} == {
+        "format" if name == "fmt" else name for name in fields
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +495,26 @@ def test_verify_detects_divergence(capsys, monkeypatch, argv, skew):
 
     monkeypatch.setattr(cli, "closed_form_table", skewed)
     code, out, err = run_cli(capsys, *argv, "--quanta", "3", "--verify")
+    assert code == 1
+    assert out == ""
+    assert "diverge" in err
+
+
+def test_verify_checks_each_row_against_its_own_mass(capsys, monkeypatch):
+    # from quantum 68 on, less than 1e-10 of the mass is on the ring, so turning
+    # those rows' slot mass half a ring moves no cell by more than VERIFY_TOL
+    real = cli.closed_form_table
+
+    def rotated(params, pb, ns):
+        table = real(params, pb, ns)
+        tail = np.add.reduce(table[:, :-1], axis=1) < 1e-10
+        table[tail, :-1] = np.roll(table[tail, :-1], 25, axis=1)
+        return table
+
+    monkeypatch.setattr(cli, "closed_form_table", rotated)
+    pb = ",".join(["1"] + ["0"] * 49)
+    argv = ["run", "--p", "0.05", "--s", "0.66", "--r", "0.29", "--pb", pb, "--quanta", "100"]
+    code, out, err = run_cli(capsys, *argv, "--verify")
     assert code == 1
     assert out == ""
     assert "diverge" in err

@@ -176,7 +176,7 @@ def test_deadlock_frequency_within_three_sigma(fifo_hazard_estimate):
 def test_occupancy_tracks_closed_form_everywhere(fifo_hazard_estimate):
     preset, estimate = fifo_hazard_estimate
     freq = estimate.frequencies
-    for n in range(estimate.n_quanta + 1):
+    for n in range(len(estimate.counts)):
         analytic = closed_form(preset, n).probs
         observed = freq[n]
         bound = 4.0 * np.sqrt(observed * (1.0 - observed) / estimate.n_walks) + 1e-9

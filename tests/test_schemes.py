@@ -98,9 +98,9 @@ def test_mixture_with_hazard_completes_third_parameter():
 
 def test_pinned_start_preset_defaults_to_first_slot():
     preset = make_preset(SchemeId.IV, m=5)
-    assert np.array_equal(preset.pb, [1, 0, 0, 0, 0])
+    assert np.array_equal(preset.init.processes, [1, 0, 0, 0, 0])
     explicit = make_preset(SchemeId.IV, pb=(1.0, 0.0, 0.0, 0.0, 0.0))
-    assert np.array_equal(explicit.pb, preset.pb)
+    assert np.array_equal(explicit.init.processes, preset.init.processes)
     with pytest.raises(ConstraintError):
         make_preset(SchemeId.IV, pb=PB5)
     with pytest.raises(ParameterError):
@@ -227,7 +227,7 @@ def test_closed_form_rejects_negative_quantum():
 
 def _paper_processes(preset, n):
     """Slot mass at quantum ``n`` from the scheme's own formula."""
-    pb, p, s = preset.pb, preset.params.p, preset.params.s
+    pb, p, s = preset.init.processes, preset.params.p, preset.params.s
     if preset.scheme is SchemeId.I_A:
         return pb
     if preset.scheme is SchemeId.I_B:
@@ -368,7 +368,7 @@ def test_closed_form_trajectory_corners_are_exact():
     for preset, shift in ((fifo, 0), (rotating, 1), (pinned, 1)):
         table = closed_form_trajectory(preset, 16).to_array()
         for n, row in enumerate(table):
-            assert np.array_equal(row[:-1], np.roll(preset.pb, shift * n))
+            assert np.array_equal(row[:-1], np.roll(preset.init.processes, shift * n))
             assert row[-1] == 0.0
 
 
