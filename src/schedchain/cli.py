@@ -139,32 +139,22 @@ class RunSpec:
 
     @classmethod
     def from_meta(cls, meta: dict) -> "RunSpec":
-        """Rebuild the spec from an emitted JSON ``meta`` block."""
-        return cls(
-            command=meta["command"],
-            scheme=meta.get("scheme"),
-            free=meta.get("free") or {},
-            pb=tuple(meta["pb"]) if meta.get("pb") is not None else None,
-            m=meta.get("m"),
-            quanta=meta["quanta"],
-            walks=meta.get("walks"),
-            seed=meta.get("seed"),
-            fmt=meta.get("format", "json"),
-            presets=[(e["scheme"], e["free"]) for e in meta.get("presets", ())],
-        )
-
-
-@dataclass
-class Payload:
-    """What a subcommand produced: a table plus JSON-only extras.
-
-    Each column holds values of one type in every row.
-    """
-
-    meta: dict
-    columns: list[str]
-    rows: list[list]
-    extra: dict = field(default_factory=dict)
+        """Rebuild the spec from an emitted JSON ``meta`` block; ParameterError if malformed."""
+        try:
+            return cls(
+                command=meta["command"],
+                scheme=meta.get("scheme"),
+                free=meta.get("free") or {},
+                pb=tuple(meta["pb"]) if meta.get("pb") is not None else None,
+                m=meta.get("m"),
+                quanta=meta["quanta"],
+                walks=meta.get("walks"),
+                seed=meta.get("seed"),
+                fmt=meta.get("format", "json"),
+                presets=[(e["scheme"], e["free"]) for e in meta.get("presets", ())],
+            )
+        except (KeyError, TypeError) as exc:
+            raise ParameterError(f"malformed meta: {type(exc).__name__}: {exc}") from None
 
 
 def _canon_free(mapping: dict[str, float]) -> dict[str, float]:
@@ -222,11 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    # each option's dest names the RunSpec field it fills; these are the
-    # fields some subcommand has no option for
-    parser.set_defaults(
-        verify=False, presets=(), **dict.fromkeys(("scheme", *_PARAM_NAMES, "walks", "seed"))
-    )
+    # each option's dest names the RunSpec field it fills
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, *, moves: str = "", walks: bool = False) -> None:
@@ -238,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         if moves:
             for name in _PARAM_NAMES:
                 p.add_argument(f"--{name}", type=float, help=f"move probability {name} ({moves})")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        p.add_argument("--format", choices=tuple(_RENDERERS), default="csv", dest="fmt")
         p.add_argument("--output", "-o", help="output path (default: standard output)")
         if walks:
             p.add_argument("--walks", type=int, default=10000, help="walk count (default 10000)")
@@ -292,7 +278,8 @@ def parse_args(argv=None) -> RunSpec:
     refused value as one line and returns 2, or 3 for a scheme constraint.
     """
     fields = vars(build_parser().parse_args(argv))
-    moves = {name: fields.pop(name) for name in _PARAM_NAMES}
+    # a field the subcommand has no option for keeps the RunSpec default
+    moves = {name: fields.pop(name, None) for name in _PARAM_NAMES}
     return RunSpec(free={k: v for k, v in moves.items() if v is not None}, **fields)
 
 
@@ -314,13 +301,12 @@ def _resolve(spec: RunSpec):
     return params, init, None
 
 
-def _trajectory_payload(spec: RunSpec, engine: str, table: np.ndarray) -> Payload:
-    columns = ["quantum"] + state_labels(table.shape[1] - 1)
+def _trajectory(table: np.ndarray, **extra) -> dict:
     rows = [[n] + row for n, row in enumerate(table.tolist())]
-    return Payload(spec.to_meta(engine), columns, rows)
+    return {"columns": ["quantum"] + state_labels(table.shape[1] - 1), "rows": rows, **extra}
 
 
-def _exec_run(spec: RunSpec) -> Payload:
+def _exec_run(spec: RunSpec) -> dict:
     params, init, _ = _resolve(spec)
     table = propagate(init, build_matrix(params), spec.quanta).to_array()
     if spec.verify:
@@ -338,29 +324,25 @@ def _exec_run(spec: RunSpec) -> Payload:
                 f"matrix and closed-form engines diverge by {gap:.3e}, "
                 f"{scaled:.3e} of a row's mass (> {VERIFY_TOL:g})"
             )
-    return _trajectory_payload(spec, "matrix", table)
+    return _trajectory(table)
 
 
-def _exec_closed_form(spec: RunSpec) -> Payload:
+def _exec_closed_form(spec: RunSpec) -> dict:
     if spec.scheme is None:
         raise ParameterError("closed-form needs a scheme")
     _, _, preset = _resolve(spec)
-    trajectory = closed_form_trajectory(preset, spec.quanta)
-    return _trajectory_payload(spec, "closed-form", trajectory.to_array())
+    return _trajectory(closed_form_trajectory(preset, spec.quanta).to_array())
 
 
-def _exec_simulate(spec: RunSpec) -> Payload:
+def _exec_simulate(spec: RunSpec) -> dict:
     from .montecarlo import SimConfig
 
     params, init, _ = _resolve(spec)
-    config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
-    estimate = simulate(config)
-    payload = _trajectory_payload(spec, "montecarlo", estimate.frequencies)
-    payload.extra = {"n_walks": estimate.n_walks}
-    return payload
+    estimate = simulate(SimConfig(params, init, spec.quanta, spec.walks, spec.seed))
+    return _trajectory(estimate.frequencies, n_walks=estimate.n_walks)
 
 
-def _exec_absorb(spec: RunSpec) -> Payload:
+def _exec_absorb(spec: RunSpec) -> dict:
     from .montecarlo import CENSORED, SimConfig
 
     params, init, _ = _resolve(spec)
@@ -381,15 +363,10 @@ def _exec_absorb(spec: RunSpec) -> Payload:
         "biased_low": sample.biased_low,
         "horizon": sample.horizon,
     }
-    return Payload(
-        spec.to_meta("montecarlo"),
-        ["first_hit_quantum", "walks"],
-        rows,
-        {"summary": summary},
-    )
+    return {"columns": ["first_hit_quantum", "walks"], "rows": rows, "summary": summary}
 
 
-def _exec_compare(spec: RunSpec) -> Payload:
+def _exec_compare(spec: RunSpec) -> dict:
     presets = [
         make_preset(SchemeId(scheme), free, pb=spec.pb, m=spec.m)
         for scheme, free in spec.presets
@@ -419,19 +396,17 @@ def _exec_compare(spec: RunSpec) -> Payload:
                 "final_efficiency_index": float(mx.efficiency_index[-1]),
             }
         )
-    extra = {
-        "ranking": [scheme.value for scheme in report.ranked_schemes],
-        "schemes": schemes_json,
-    }
-    return Payload(spec.to_meta("matrix"), columns, rows, extra)
+    ranking = [scheme.value for scheme in report.ranked_schemes]
+    return {"columns": columns, "rows": rows, "ranking": ranking, "schemes": schemes_json}
 
 
+# command -> (engine named in meta, executor returning the document's table part)
 _EXECUTORS = {
-    "run": _exec_run,
-    "closed-form": _exec_closed_form,
-    "simulate": _exec_simulate,
-    "absorb": _exec_absorb,
-    "compare": _exec_compare,
+    "run": ("matrix", _exec_run),
+    "closed-form": ("closed-form", _exec_closed_form),
+    "simulate": ("montecarlo", _exec_simulate),
+    "absorb": ("montecarlo", _exec_absorb),
+    "compare": ("matrix", _exec_compare),
 }
 
 
@@ -456,35 +431,46 @@ def _check_sizes(spec: RunSpec) -> None:
         raise MemoryError(f"{spec.walks} walks are too many to allocate")
 
 
-def execute(spec: RunSpec) -> Payload:
-    """Run the engines for a spec and return the emission payload."""
+def _lookup(table: dict, key, what: str):
     try:
-        executor = _EXECUTORS[spec.command]
-    except KeyError:
-        raise ParameterError(f"unknown command {spec.command!r}") from None
+        return table[key]
+    except (KeyError, TypeError):  # TypeError: a key that cannot be hashed
+        raise ParameterError(f"unknown {what} {key!r} (choose from {list(table)})") from None
+
+
+def execute(spec: RunSpec) -> dict:
+    """Run the engines for a spec and return the call's JSON object.
+
+    It holds ``meta``, ``columns`` and ``rows`` (one type per column), then the
+    command's JSON-only keys.  An unknown command or format is refused first.
+    """
+    engine, executor = _lookup(_EXECUTORS, spec.command, "command")
+    _lookup(_RENDERERS, spec.fmt, "format")
     _check_sizes(spec)
-    return executor(spec)
+    table = executor(spec)  # first, so an engine refuses a bad value before meta reads it
+    return {"meta": spec.to_meta(engine), **table}
 
 
-def render_csv(payload: Payload) -> str:
+def render_csv(document: dict) -> str:
     # floats print with 12 significant digits, anything else as str()
-    template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in payload.rows[0])
-    lines = [",".join(payload.columns)]
-    lines.extend(template % tuple(row) for row in payload.rows)
+    rows = document["rows"]
+    template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
+    lines = [",".join(document["columns"]), *(template % tuple(row) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
-def render_json(payload: Payload) -> str:
+def render_json(document: dict) -> str:
     import json
 
-    obj = {"meta": payload.meta, "columns": payload.columns, "rows": payload.rows}
-    obj.update(payload.extra)
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
-def emit(payload: Payload, fmt: str, output: str | None) -> None:
-    """Serialize the payload as CSV or JSON to a file or standard output."""
-    text = render_csv(payload) if fmt == "csv" else render_json(payload)
+_RENDERERS = {"csv": render_csv, "json": render_json}
+
+
+def emit(document: dict, fmt: str, output: str | None) -> None:
+    """Serialize the call's JSON object as CSV or JSON to a file or standard output."""
+    text = _RENDERERS[fmt](document)
     if output is None:
         sys.stdout.write(text)
         sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
@@ -496,7 +482,7 @@ def emit(payload: Payload, fmt: str, output: str | None) -> None:
 def main(argv=None) -> int:
     spec = parse_args(argv)
     try:
-        payload = execute(spec)
+        document = execute(spec)
     except EngineDivergence as exc:
         print(f"schedchain: verification failed: {exc}", file=sys.stderr)
         return 1
@@ -507,7 +493,7 @@ def main(argv=None) -> int:
         print(f"schedchain: error: {exc}", file=sys.stderr)
         return 2
     try:
-        emit(payload, spec.fmt, spec.output)
+        emit(document, spec.fmt, spec.output)
     except OSError as exc:
         print(f"schedchain: cannot write output: {exc}", file=sys.stderr)
         if spec.output is None:

@@ -241,6 +241,12 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
     ``pb`` occupies, in the directions it moves) hold exactly 0.  Deadlock
     holds ``1 - (1 - r)^n``: the slots and D share one survival factor, so
     rows sum to 1 even where ``p + s + q`` rounds to 1 while ``r > 0``.
+
+    D keeps relative accuracy; the survival factor ``S`` carries the rounding
+    of ``n·log1p(-r)``, a relative error up to about ``ε·|ln S|`` (6.8e-14 at
+    S = 9.3e-302).  The FFT slot error is absolute, about ε times the row's
+    ring mass, so a slot far below that mass can be off by more than itself:
+    a cell-relative check against this form would fail on correct code.
     """
     counts = np.asarray(ns)
     try:

@@ -250,3 +250,29 @@ def test_compare_ties_within_rounding_fall_back_to_catalog_order():
         final = [entry.metrics.efficiency_index[-1] for entry in report.entries]
         assert abs(final[0] - final[1]) <= 1e-13 * final[0], (m, r, horizon)
         assert report.ranked_schemes == (SchemeId.I_B, SchemeId.II_B), (m, r, horizon, pb)
+
+
+# FIFO keeps fairness J(pb) = 0.615 at every quantum and the mixture's tends
+# to 1, so at equal r the mixture ranks first at every horizon
+UNDERFLOW_PB = (0.5, 0.2, 0.15, 0.1, 0.05)
+
+
+def _fifo_and_mixture(horizon):
+    pair = [
+        make_preset(SchemeId.I_B, {"r": 0.5}, pb=UNDERFLOW_PB),
+        make_preset(SchemeId.III_B, {"p": 0.25, "r": 0.5}, pb=UNDERFLOW_PB),
+    ]
+    return compare(pair, horizon).ranked_schemes
+
+
+def test_compare_ranks_mixture_first_while_survival_is_a_float():
+    assert _fifo_and_mixture(50)[0] is SchemeId.III_B
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: survival underflows to 0 from about quantum 1070, both "
+    "fairnesses then read 1 and the tie falls to catalog order",
+)
+def test_compare_ranking_survives_survival_underflow():
+    assert _fifo_and_mixture(1200)[0] is SchemeId.III_B

@@ -253,16 +253,56 @@ def test_missing_pb_for_scheme_exits_2(capsys):
             ParameterError,
             "^pb must hold numbers",
         ),
+        # argparse offers only the formats there is a renderer for
+        (
+            RunSpec(command="run", scheme="I_A", pb=(0.5, 0.5), fmt="xml"),
+            ParameterError,
+            "^unknown format 'xml'",
+        ),
     ],
     ids=[
         "unknown-command", "pb-and-m-disagree", "unknown-scheme", "unknown-preset-scheme",
         "text-quanta", "text-walks", "text-m", "float-m",
         "closed-form-without-scheme", "compare-without-presets", "scalar-pb", "text-pb",
+        "unknown-format",
     ],
 )
 def test_unknown_command_is_a_parameter_error(spec, exc, match):
     with pytest.raises(exc, match=match):
         execute(spec)
+
+
+RUN_META = {"command": "run", "scheme": "I_A", "pb": [0.5, 0.5], "quanta": 2, "format": "json"}
+
+
+def _without(meta, key):
+    return {k: v for k, v in meta.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "meta, match",
+    [
+        ({**RUN_META, "pb": 2.5}, "^malformed meta: TypeError"),
+        ({**RUN_META, "command": "compare", "presets": "I_A"}, "^malformed meta: TypeError"),
+        ({**RUN_META, "free": ["p", 0.5]}, "^malformed meta: TypeError"),
+        ({**RUN_META, "free": "p=0.5"}, "^malformed meta: TypeError"),
+        (list(RUN_META.items()), "^malformed meta: TypeError"),
+        (_without(RUN_META, "quanta"), "^malformed meta: KeyError: 'quanta'"),
+        (_without(RUN_META, "command"), "^malformed meta: KeyError: 'command'"),
+        (
+            {**RUN_META, "command": "compare", "presets": [{"scheme": "I_A"}]},
+            "^malformed meta: KeyError: 'free'",
+        ),
+        ({**RUN_META, "format": "xml"}, "^unknown format 'xml'"),
+    ],
+    ids=[
+        "scalar-pb", "text-presets", "list-free", "text-free", "list-meta",
+        "no-quanta", "no-command", "preset-without-free", "unknown-format",
+    ],
+)
+def test_malformed_meta_is_a_parameter_error(meta, match):
+    with pytest.raises(ParameterError, match=match):
+        execute(RunSpec.from_meta(meta))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +428,10 @@ def test_json_meta_round_trips_byte_identically(capsys, argv):
     respec = RunSpec.from_meta(meta)
     # a field that meta left out would come back as its default
     assert respec == parse_args([*argv, "--format", "json"])
-    payload = execute(respec)
-    assert cli.render_json(payload) == out
+    document = execute(respec)
+    assert cli.render_json(document) == out
+    # execute returns the call's JSON object, meta first
+    assert list(document)[:3] == ["meta", "columns", "rows"]
 
 
 def test_meta_carries_every_spec_field_but_output_and_verify():
