@@ -37,7 +37,6 @@ condition then fixes, or none when all four are pinned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,6 +52,7 @@ from .model import (
     Trajectory,
     _check_int,
     _is_real,
+    _survival,
 )
 
 __all__ = [
@@ -264,15 +264,7 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
         raise DimensionError(f"pb must hold m={m} slot masses, got shape {pb.shape}")
     table = np.empty((quanta.size, m + 1))
     proc = table[:, :m]
-    # One survival factor: the ring keeps (1 - r)^n of the mass and D holds the
-    # rest, both from n·log1p(-r), so rows sum to 1 even where p + s + q rounds
-    # to 1 while r > 0.  At r = 1, log1p(-1) = -inf would give nan at n = 0.
-    if r < 1.0:
-        log_alive = quanta * math.log1p(-r)
-        alive, table[:, m] = np.exp(log_alive), -np.expm1(log_alive)
-    else:
-        table[:, m] = quanta > 0
-        alive = 1.0 - table[:, m]
+    alive, table[:, m] = _survival(r, quanta)
     if (p > 0.0) + (s > 0.0) + (q > 0.0) <= 1:
         # one slot a quantum forward, back, or none (FIFO, nothing left on the ring);
         # reduced mod m before the sign is applied, so no count wraps a fixed-width integer

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import schedchain
 from schedchain import analysis, model, montecarlo, schemes
@@ -16,15 +16,18 @@ from schedchain import (
     DimensionError,
     Distribution,
     ParameterError,
+    SchemeId,
     SchemeParams,
     Trajectory,
     build_matrix,
     closed_form_table,
     jain_fairness,
+    make_preset,
     metrics,
     propagate,
     state_labels,
 )
+from schedchain.cli import VERIFY_TOL
 
 PB5 = (0.27, 0.15, 0.17, 0.18, 0.23)
 
@@ -312,9 +315,9 @@ def _assert_matches_stepping(table: np.ndarray, reference: np.ndarray) -> None:
 
 def test_propagate_renormalizes_each_quantum():
     # Past about quantum 60 the ring is drained: a raw product chain would
-    # read D = 1 + 1 ulp on 137 rows.  propagate renormalises every row and
-    # starts each block of quanta from a renormalised row, so no overshoot is
-    # ever fed forward.
+    # read D = 1 + 1 ulp on 137 rows.  propagate steps the ring law, starts
+    # each block of quanta from a law row divided by its own sum and takes D
+    # from the survival factor, so no overshoot is ever fed forward.
     params = SchemeParams(0.1, 0.4, 0.07, 0.43, 2)
     mat = _dense(params)
     traj = propagate(Distribution.from_process_probs((0.8, 0.2)), build_matrix(params), 200)
@@ -329,7 +332,7 @@ def test_propagate_renormalizes_each_quantum():
 
     _assert_matches_stepping(table, _stepped(table[0], mat, 200))
 
-    # D reads 1.0 from quantum 63 on, but the slots still hold mass, so
+    # D reads 1.0 from quantum 67 on, but the slots still hold mass, so
     # fairness comes from the slot shares in every row
     slots = table[:, :-1].sum(axis=1)
     assert np.all(slots > 0.0) and table[-1, -1] == 1.0
@@ -350,6 +353,22 @@ def test_drained_chains_match_per_quantum_stepping():
         _assert_matches_stepping(table, _stepped(init.probs, _dense(params), 400))
 
 
+def _factored(params: SchemeParams, pb, n: int) -> np.ndarray:
+    """Reference in long double: the ring law stepped with the normalised stencil,
+    times the survival (1 - r)^n taken from n·log1p(-r), with D holding the rest."""
+    p, s, q, r = (np.longdouble(v) for v in (params.p, params.s, params.q, params.r))
+    p, s, q = p / (p + s + q), s / (p + s + q), q / (p + s + q)
+    law = np.array(pb, dtype=np.longdouble)
+    exact = np.empty((n + 1, law.size + 1), dtype=np.longdouble)
+    for k in range(n + 1):
+        exact[k, :-1] = law
+        law = s * law + p * np.roll(law, 1) + q * np.roll(law, -1)
+    log_alive = np.arange(n + 1, dtype=np.longdouble) * np.log1p(-r)
+    exact[:, :-1] *= np.exp(log_alive)[:, None]
+    exact[:, -1] = -np.expm1(log_alive)
+    return exact
+
+
 def test_long_horizon_rows_keep_rounding_error_small():
     # Every block reuses the kernels, so their rounding would add up over the
     # 142 blocks of 141 quanta (225 of 223 at N = 50 000); kernels stepped in
@@ -360,41 +379,68 @@ def test_long_horizon_rows_keep_rounding_error_small():
     retreat = SchemeParams(0.4, 0.3, 0.2999, 1e-4, 5)
     mixture = SchemeParams(0.417, 0.5829, 0.0, 1e-4, 5)  # III_B, p=0.417, r=1e-4
     for params, n in ((retreat, 20_000), (mixture, 50_000)):
-        p, s, q, r = (np.longdouble(v) for v in (params.p, params.s, params.q, params.r))
-        slots, dead = np.array(PB5, dtype=np.longdouble), np.longdouble(0.0)
-        exact = np.empty((n + 1, 6), dtype=np.longdouble)
-        for k in range(n + 1):
-            exact[k, :-1], exact[k, -1] = slots, dead
-            slots = s * slots + p * np.roll(slots, 1) + q * np.roll(slots, -1)
-            dead += r * exact[k, :-1].sum()
+        exact = _factored(params, PB5, n)
         table = propagate(Distribution.from_process_probs(PB5), build_matrix(params), n)
         error = float(np.max(np.abs(table.to_array() - exact)))
         assert error <= (3e-15 if extended else 3e-14), (params, n)
 
 
 def test_blocks_start_from_renormalized_rows():
-    # p + s + q + r = 1 + 9e-13 passes as is, so every quantum adds 9e-13 of
-    # mass.  Fed forward unchecked over 20 000 quanta that drift would pass
-    # DRIFT_TOL; renormalised at each block start it stays near ATOL.
+    # p + s + q + r = 1 + 9e-13 passes as is.  Fed forward unchecked over
+    # 20 000 quanta, a drift of 9e-13 a quantum would pass DRIFT_TOL; the law
+    # steps a stencil normalised to 1, each block starts from a law row divided
+    # by its own sum, and the survival comes from r alone, so no row drifts.
     params = SchemeParams(0.4, 0.3, 0.2999, 1e-4 + 9e-13, 5)
     init = Distribution.from_process_probs(PB5)
     table = propagate(init, build_matrix(params), 20_000).to_array()
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= ATOL
-    # stepping renormalises whenever a row drifts past ATOL, so its rows are
-    # scaled by up to 1 + ATOL against these
-    assert np.max(np.abs(table - _stepped(init.probs, _dense(params), 20_000))) <= 2 * ATOL
+    assert np.max(np.abs(table - _factored(params, PB5, 20_000))) <= 2 * ATOL
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.sampled_from([2, 3, 5, 40]), probs=move_probs(), n=st.integers(0, 400), data=st.data())
 def test_blocked_rows_match_dense_stepping(m, probs, n, data):
     # q > 0 throughout; at m = 2 the successor and predecessor coincide, and at
-    # m = 40 blocks of up to 20 quanta fold their taps onto the ring or not
-    raw_pb = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(any))
+    # m = 40 blocks of up to 20 quanta fold their taps onto the ring or not.  A
+    # start may hold mass on D, then also none on the ring.
+    raw_pb = data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    dead = data.draw(st.just(0.0) | st.floats(0.0, 1.0))
+    assume(any(raw_pb) or dead)
     params = SchemeParams(*probs, m)
-    init = Distribution.from_process_probs(np.array(raw_pb) / sum(raw_pb))
+    init = Distribution(np.append(raw_pb, dead) / (sum(raw_pb) + dead))
     table = propagate(init, build_matrix(params), n).to_array()
     assert np.max(np.abs(table - _stepped(init.probs, _dense(params), n))) <= 1e-14
+
+
+def test_deadlock_column_matches_the_closed_form():
+    # both engines take D from the one survival factor, so over III_B presets
+    # whose p + s + q and 1 - r differ in floats D agrees to a few ulp
+    rng = np.random.default_rng(20261019)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        r = float(10 ** rng.uniform(-7, -1))
+        p = round(float(rng.uniform(0.0, 1.0 - r)), 3)
+        m = int(rng.integers(2, 11))
+        preset = make_preset(SchemeId.III_B, {"p": p, "r": r}, rng.dirichlet(np.ones(m)))
+        n = int(rng.integers(1, 2000))
+        dead = propagate(preset.init, build_matrix(preset.params), n).to_array()[:, -1]
+        analytic = closed_form_table(preset.params, preset.init.processes, np.arange(n + 1))
+        assert np.all(np.abs(dead - analytic[:, -1]) <= 4 * eps * analytic[:, -1]), preset
+
+
+def test_long_chain_rows_match_the_closed_form_per_row():
+    # p + s + q = 0.9999799999999999 while 1 - r = 0.99998: a survival of
+    # (p + s + q)^n would be off by 2.2e-10 of the ring mass at this N, while
+    # survival (6.5e-26) is still a normal float.  Every 1000th row is compared,
+    # relative to its own mass as run --verify does.
+    preset = make_preset(SchemeId.III_B, {"p": 0.283, "r": 2e-5}, (0.5, 0.5))
+    n = 2_900_000
+    table = propagate(preset.init, build_matrix(preset.params), n).to_array()[::1000]
+    analytic = closed_form_table(preset.params, preset.init.processes, np.arange(0, n + 1, 1000))
+    diff = np.abs(table - analytic)
+    ring = table[:, :-1].sum(axis=1)
+    assert np.max(diff.max(axis=1)[1:] / ring[1:]) <= VERIFY_TOL
+    assert np.max(diff[1:, -1] / table[1:, -1]) <= VERIFY_TOL
 
 
 def test_propagate_is_not_quadratic():
