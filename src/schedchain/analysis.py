@@ -26,6 +26,7 @@ from .model import (
     build_matrix,
     propagate,
     _check_int,
+    _frozen,
 )
 from .schemes import SchemeId, SchemePreset
 
@@ -99,9 +100,7 @@ class SchemeMetrics:
 
     def __post_init__(self) -> None:
         for name in ("survival", "fairness", "efficiency_index"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), float))
 
 
 def metrics(trajectory: Trajectory, params: SchemeParams) -> SchemeMetrics:

@@ -16,6 +16,11 @@ kernels (the matrix-powers kernel of Demmel, Hoemmen, Mohiyuddin and Yelick,
 "Avoiding communication in sparse matrix computations", IPDPS 2008).  Every
 type in this module is validated once, at construction, and immutable after
 it, so it is safe to share across threads; the operations are pure functions.
+
+One ownership rule holds for every result object of the package: an array
+of the object's dtype that nothing can write (it and every array along its
+``.base`` chain are read-only) is kept as given, and anything else is replaced
+by a read-only copy, so a caller's writable array is copied and stays writable.
 """
 
 from __future__ import annotations
@@ -81,15 +86,29 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _stochastic(values, what: str, ndim: int, copy: bool = True) -> np.ndarray:
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` itself when it is an ndarray of ``dtype`` that nothing can write
+    (it and every array along its ``.base`` chain are read-only), else a read-only copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        owner = values
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if owner is None:
+            return values
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def _stochastic(values, what: str, ndim: int) -> np.ndarray:
     """Validate a probability vector (``ndim=1``) or a table of rows (``ndim=2``).
 
     Entries must be finite and non-negative, every row must sum to 1 within
     DRIFT_TOL (smaller drift is renormalized away) and hold at least three
-    entries (two process slots plus D).  Returns a new float array, or with
-    ``copy=False`` renormalizes and returns ``values``, a float array, itself.
+    entries (two process slots plus D).  Returns ``_frozen(values, float)``, or
+    a new read-only array when a row is renormalized.
     """
-    arr = np.array(values, dtype=float, copy=copy)
+    arr = _frozen(values, float)
     if arr.ndim != ndim:
         raise DimensionError(f"{what} must be {('one', 'two')[ndim - 1]}-dimensional")
     if np.minimum.reduce(arr, axis=None, initial=0.0) < 0.0:
@@ -113,7 +132,8 @@ def _stochastic(values, what: str, ndim: int, copy: bool = True) -> np.ndarray:
     top = sums if ndim == 1 else np.maximum.reduce(sums, initial=0.0)
     if worst > ATOL or (top > 1.0 and np.maximum.reduce(arr, axis=None) > 1.0):
         fix = (drift > ATOL) | (np.maximum.reduce(arr, axis=-1) > 1.0)
-        arr /= np.where(fix, sums, 1.0)[..., None]
+        arr = arr / np.where(fix, sums, 1.0)[..., None]
+        arr.flags.writeable = False
     return arr
 
 
@@ -150,16 +170,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _stochastic(self.probs, "state probabilities", 1)
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    @classmethod
-    def _of_row(cls, row: np.ndarray) -> "Distribution":
-        """Wrap a read-only row that has already passed ``_stochastic``."""
-        dist = object.__new__(cls)
-        dist.__dict__["probs"] = row
-        return dist
+        object.__setattr__(self, "probs", _stochastic(self.probs, "state probabilities", 1))
 
     @classmethod
     def from_process_probs(cls, pb) -> "Distribution":
@@ -191,35 +202,26 @@ class Trajectory:
     """Distributions for quanta ``0..N`` as one read-only ``(N + 1) x (m + 1)`` array.
 
     Row ``n`` is quantum ``n``, and the deadlock mass never decreases (D is
-    absorbing).  ``traj[n]``, which iteration also calls, wraps row ``n``, a
-    read-only view of ``rows``, in a :class:`Distribution` without checking it.
+    absorbing).  ``traj[n]``, which iteration also calls, is the checked
+    :class:`Distribution` of row ``n``, a read-only view of ``rows``; a slice
+    is no distribution and raises :class:`DimensionError`.
     """
 
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        self._seal(_stochastic(self.rows, "trajectory rows", 2))
-
-    @classmethod
-    def _adopt(cls, table: np.ndarray) -> "Trajectory":
-        """Validate a float table the caller hands over, in place rather than as a copy."""
-        traj = object.__new__(cls)
-        traj._seal(_stochastic(table, "trajectory rows", 2, copy=False))
-        return traj
-
-    def _seal(self, table: np.ndarray) -> None:
+        table = _stochastic(self.rows, "trajectory rows", 2)
         if table.shape[0] == 0:
             raise ParameterError("trajectory must contain at least the initial distribution")
         if float(np.diff(table[:, -1]).min(initial=0.0)) < -ATOL:
             raise ParameterError("deadlock mass must be non-decreasing along a trajectory")
-        table.flags.writeable = False
         object.__setattr__(self, "rows", table)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
 
     def __getitem__(self, quantum: int) -> Distribution:
-        return Distribution._of_row(self.rows[quantum])
+        return Distribution(self.rows[quantum])
 
     @property
     def m(self) -> int:
@@ -356,4 +358,5 @@ def propagate(init: Distribution, params: SchemeParams, n: int) -> Trajectory:
     alive, dead = _survival(params.r, np.arange(1, n + 1))
     laws *= (ring_mass * alive)[:, None]
     table[1:, m] = ring_mass * dead + init.probs[m]
-    return Trajectory._adopt(table)
+    table.flags.writeable = False
+    return Trajectory(table)

@@ -37,6 +37,7 @@ from .model import (
     ParameterError,
     SchemeParams,
     _check_int,
+    _frozen,
 )
 from .schemes import SchemePreset
 
@@ -111,9 +112,8 @@ class OccupancyEstimate:
 
     ``counts[t, j]`` is the number of walks in state ``j`` (columns ordered
     P1..Pm, D) at quantum ``t``; every row sums to ``n_walks``.  Counts must
-    have an integer dtype.  A read-only int64 array is kept as given, so
-    :func:`simulate` hands over its result without a second copy; anything
-    else is copied.
+    have an integer dtype and are held as int64 under the ownership rule of
+    :mod:`schedchain.model`.
     """
 
     counts: np.ndarray
@@ -124,10 +124,7 @@ class OccupancyEstimate:
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iu":
             raise ParameterError(f"counts must hold integers, got dtype {counts.dtype}")
-        counts = counts.astype(np.int64, copy=False)
-        if counts.flags.writeable:
-            counts = counts.copy()
-            counts.flags.writeable = False
+        counts = _frozen(counts, np.int64)
         if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] < 3:
             raise DimensionError(
                 "counts must be a (quanta + 1) x (m + 1) matrix with m >= 2"
@@ -169,9 +166,7 @@ class AbsorptionSample:
             raise ParameterError(
                 f"first_hit must hold integers in [0, {horizon}] or CENSORED ({CENSORED})"
             )
-        hits = hits.astype(np.int64)
-        hits.flags.writeable = False
-        object.__setattr__(self, "first_hit", hits)
+        object.__setattr__(self, "first_hit", _frozen(hits, np.int64))
         object.__setattr__(self, "horizon", horizon)
 
     @property
@@ -470,5 +465,6 @@ def absorption_times(config: SimConfig) -> AbsorptionSample:
     censored.
     """
     _, first_hit = _sweep(config, hits_only=True)
+    first_hit.flags.writeable = False
     return AbsorptionSample(first_hit, config.n_quanta)
 

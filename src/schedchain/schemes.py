@@ -316,4 +316,5 @@ def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:
     """All closed-form distributions for quanta ``0..n`` as a trajectory."""
     n = _check_int(n, "quanta", 0)
     table = closed_form_table(preset.params, preset.init.processes, np.arange(n + 1))
-    return Trajectory._adopt(table)
+    table.flags.writeable = False
+    return Trajectory(table)

@@ -507,6 +507,60 @@ def test_trajectory_rows_are_read_only_views():
         table[0, 0] = 0.5
 
 
+def test_trajectory_refuses_a_slice_as_a_distribution():
+    traj = propagate(
+        Distribution.from_process_probs((0.5, 0.5)), SchemeParams(0.3, 0.5, 0.1, 0.1, 2), 4
+    )
+    with pytest.raises(DimensionError):
+        traj[1:3]
+
+
+# Each result type, built from an array of its dtype, and the arrays it holds.
+_RESULT_TYPES = {
+    "Distribution": (np.array([0.5, 0.3, 0.2]), Distribution, lambda d: [d.probs]),
+    "Trajectory": (
+        np.array([[0.5, 0.3, 0.2], [0.4, 0.3, 0.3]]), Trajectory, lambda t: [t.rows]
+    ),
+    "OccupancyEstimate": (
+        np.array([[3, 0, 0], [2, 1, 0]]),
+        lambda a: montecarlo.OccupancyEstimate(a, 3),
+        lambda e: [e.counts],
+    ),
+    "AbsorptionSample": (
+        np.array([0, 2, montecarlo.CENSORED]),
+        lambda a: montecarlo.AbsorptionSample(a, 5),
+        lambda s: [s.first_hit],
+    ),
+    "SchemeMetrics": (
+        np.array([1.0, 0.9, 0.8]),
+        lambda a: analysis.SchemeMetrics(a, a, a, 10.0),
+        lambda m: [m.survival, m.fairness, m.efficiency_index],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_RESULT_TYPES))
+def test_result_types_keep_only_arrays_nothing_can_write(name):
+    values, build, held = _RESULT_TYPES[name]
+    # a read-only view of a writable array is copied: writing the array leaves the object
+    source = values.copy()
+    view = source[:]
+    view.flags.writeable = False
+    result = build(view)
+    source[-1] = source[0]
+    for arr in held(result):
+        assert np.array_equal(arr, values) and not arr.flags.writeable
+    # an owning read-only array is kept as it is
+    frozen = values.copy()
+    frozen.flags.writeable = False
+    assert all(arr is frozen for arr in held(build(frozen)))
+    # a writable array is copied and stays writable
+    writable = values.copy()
+    for arr in held(build(writable)):
+        assert not np.shares_memory(arr, writable) and not arr.flags.writeable
+    assert writable.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # chain-wide properties
 
