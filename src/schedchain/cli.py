@@ -11,9 +11,10 @@ compare      side-by-side scheme metrics with an efficiency ranking
 Trajectory-style CSV output has the header ``quantum,P1,...,Pm,D``, one row
 per quantum, probabilities printed with 12 significant digits and LF line
 endings.  JSON output wraps the same rows in an object with a ``meta`` block
-(command, scheme, parameters, pb, horizon, walks, seed, engine, version)
-that can be fed back through ``RunSpec.from_meta`` to reproduce the run
-byte for byte.  The output destination is not part of ``meta``.
+(command, scheme, parameters, pb, m, horizon, walks, seed, format, engine,
+version, and ``compare``'s presets) that can be fed back through
+``RunSpec.from_meta`` to reproduce the run byte for byte.  The output
+destination is not part of ``meta``.
 
 Exit codes: 0 success, 1 engine cross-check divergence (``--verify``),
 2 usage error (text that does not parse, a value an engine refuses, or a
@@ -35,21 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model import (
-    DimensionError,
-    Distribution,
-    ModelError,
-    ParameterError,
-    SchemeParams,
-    _check_int,
-    build_matrix,
-    propagate,
-    state_labels,
-)
+from .model import ModelError, ParameterError, _MOVES, build_matrix, propagate, state_labels
 from .schemes import (
     CONSTRAINTS,
     ConstraintError,
     SchemeId,
+    _chain,
     closed_form_table,
     closed_form_trajectory,
     make_preset,
@@ -57,10 +49,9 @@ from .schemes import (
 
 __all__ = ["RunSpec", "EngineDivergence", "parse_args", "execute", "emit", "main"]
 
-#: Largest gap ``run --verify`` tolerates, per cell and relative to a row's mass.
+#: Largest gap ``run --verify`` tolerates, relative to a row's mass.
 VERIFY_TOL = 1e-10
 
-_PARAM_NAMES = ("p", "s", "q", "r")
 _SCHEME_CHOICES = [scheme.value for scheme in SchemeId]
 
 
@@ -97,7 +88,8 @@ class RunSpec:
 
     ``meta`` holds every field but ``output`` and ``verify``.  ``free`` and
     each preset's parameters are ordered by ``_canon_free`` and otherwise
-    kept as given; the engines refuse what they cannot take.
+    kept as given; the engines refuse what they cannot take.  ``meta`` writes
+    a numpy scalar as the Python number the engines read from it.
     """
 
     command: str
@@ -121,19 +113,20 @@ class RunSpec:
         meta = {
             "command": self.command,
             "scheme": self.scheme,
-            "free": dict(self.free),
-            "pb": list(self.pb) if self.pb is not None else None,
-            "m": self.m,
-            "quanta": self.quanta,
-            "walks": self.walks,
-            "seed": self.seed,
+            "free": {name: _plain(value) for name, value in self.free.items()},
+            "pb": list(map(_plain, self.pb)) if self.pb is not None else None,
+            "m": _plain(self.m),
+            "quanta": _plain(self.quanta),
+            "walks": _plain(self.walks),
+            "seed": _plain(self.seed),
             "format": self.fmt,
             "engine": engine,
             "version": __version__,
         }
         if self.presets:
             meta["presets"] = [
-                {"scheme": scheme, "free": dict(free)} for scheme, free in self.presets
+                {"scheme": scheme, "free": {name: _plain(v) for name, v in free.items()}}
+                for scheme, free in self.presets
             ]
         return meta
 
@@ -163,7 +156,15 @@ def _canon_free(mapping: dict[str, float]) -> dict[str, float]:
     The fixed order keeps emitted JSON byte-stable; no name is dropped and no
     value converted.
     """
-    return {**{name: mapping[name] for name in _PARAM_NAMES if name in mapping}, **mapping}
+    return {**{name: mapping[name] for name in _MOVES if name in mapping}, **mapping}
+
+
+def _plain(value):
+    """A numpy scalar as the Python number the engines read from it (``float``
+    for a floating one: ``item()`` would keep a longdouble); others as given."""
+    if isinstance(value, np.floating):
+        return float(value)
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _parse_pb(text: str) -> tuple[float, ...]:
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="ring size; inferred from --pb when given")
         p.add_argument("--quanta", "-n", type=int, default=50, help="horizon N (default 50)")
         if moves:
-            for name in _PARAM_NAMES:
+            for name in _MOVES:
                 p.add_argument(f"--{name}", type=float, help=f"move probability {name} ({moves})")
         p.add_argument("--format", choices=tuple(_RENDERERS), default="csv", dest="fmt")
         p.add_argument("--output", "-o", help="output path (default: standard output)")
@@ -279,7 +280,7 @@ def parse_args(argv=None) -> RunSpec:
     """
     fields = vars(build_parser().parse_args(argv))
     # a field the subcommand has no option for keeps the RunSpec default
-    moves = {name: fields.pop(name, None) for name in _PARAM_NAMES}
+    moves = {name: fields.pop(name, None) for name in _MOVES}
     return RunSpec(free={k: v for k, v in moves.items() if v is not None}, **fields)
 
 
@@ -290,15 +291,9 @@ def _resolve(spec: RunSpec):
         return preset.params, preset.init, preset
     if spec.pb is None:
         raise ParameterError("raw-parameter runs need --pb")
-    if unknown := [name for name in spec.free if name not in _PARAM_NAMES]:
+    if unknown := [name for name in spec.free if name not in _MOVES]:
         raise ParameterError(f"unknown move probability {unknown[0]!r}")
-    values = {name: 0.0 for name in _PARAM_NAMES}
-    values.update(spec.free)
-    init = Distribution.from_process_probs(spec.pb)
-    if spec.m is not None and init.m != _check_int(spec.m, "m", 2):
-        raise DimensionError(f"pb has {init.m} entries but m={spec.m} was requested")
-    params = SchemeParams(values["p"], values["s"], values["q"], values["r"], init.m)
-    return params, init, None
+    return *_chain(spec.free, spec.pb, spec.m), None
 
 
 def _trajectory(table: np.ndarray, **extra) -> dict:
@@ -311,18 +306,19 @@ def _exec_run(spec: RunSpec) -> dict:
     table = propagate(init, build_matrix(params), spec.quanta).to_array()
     if spec.verify:
         analytic = closed_form_table(params, init.processes, np.arange(spec.quanta + 1))
-        diff = np.abs(table - analytic)
-        # each row's largest slot gap over its ring mass and its D gap over D, where
-        # that mass is a normal float, so rows lighter than VERIFY_TOL are checked too
-        mass = np.stack([np.add.reduce(table[:, :-1], axis=1), table[:, -1]], axis=1)
-        gaps = np.stack([np.maximum.reduce(diff[:, :-1], axis=1), diff[:, -1]], axis=1)
-        normal = mass >= np.finfo(float).tiny
-        gap = float(np.max(diff))
-        scaled = float(np.max(gaps[normal] / mass[normal], initial=0.0))
-        if not (gap <= VERIFY_TOL and scaled <= VERIFY_TOL):  # also on a NaN
+        # each row's largest slot gap over the larger of the engines' ring masses, and its
+        # D gap over the larger D, on every row down to the smallest normal float mass
+        parts = [0, params.m]  # the ring's slots, then D
+        gaps = np.maximum.reduceat(np.abs(table - analytic), parts, axis=1)
+        mass = np.maximum(
+            np.add.reduceat(table, parts, axis=1), np.add.reduceat(analytic, parts, axis=1)
+        )
+        checked = ~(mass < np.finfo(float).tiny)  # a NaN mass too, which np.maximum keeps
+        worst = float(np.max(gaps[checked] / mass[checked], initial=0.0))
+        if not worst <= VERIFY_TOL:  # also on a NaN
             raise EngineDivergence(
-                f"matrix and closed-form engines diverge by {gap:.3e}, "
-                f"{scaled:.3e} of a row's mass (> {VERIFY_TOL:g})"
+                f"matrix and closed-form engines diverge by {worst:.3e} "
+                f"of a row's mass (> {VERIFY_TOL:g})"
             )
     return _trajectory(table)
 
@@ -388,7 +384,7 @@ def _exec_compare(spec: RunSpec) -> dict:
         schemes_json.append(
             {
                 "scheme": scheme,
-                "params": {name: getattr(entry.params, name) for name in _PARAM_NAMES},
+                "params": {name: getattr(entry.params, name) for name in _MOVES},
                 "m": entry.params.m,
                 "expected_absorption": None if np.isinf(expected) else expected,
                 "final_survival": float(mx.survival[-1]),
@@ -442,10 +438,13 @@ def execute(spec: RunSpec) -> dict:
     """Run the engines for a spec and return the call's JSON object.
 
     It holds ``meta``, ``columns`` and ``rows`` (one type per column), then the
-    command's JSON-only keys.  An unknown command or format is refused first.
+    command's JSON-only keys.  An unknown command or format, and ``verify`` on a
+    command with no cross-check, are refused first.
     """
     engine, executor = _lookup(_EXECUTORS, spec.command, "command")
     _lookup(_RENDERERS, spec.fmt, "format")
+    if spec.verify and spec.command != "run":
+        raise ParameterError(f"only run has a --verify check, not {spec.command}")
     _check_sizes(spec)
     table = executor(spec)  # first, so an engine refuses a bad value before meta reads it
     return {"meta": spec.to_meta(engine), **table}
@@ -468,9 +467,9 @@ def render_json(document: dict) -> str:
 _RENDERERS = {"csv": render_csv, "json": render_json}
 
 
-def emit(document: dict, fmt: str, output: str | None) -> None:
-    """Serialize the call's JSON object as CSV or JSON to a file or standard output."""
-    text = _RENDERERS[fmt](document)
+def emit(document: dict, output: str | None) -> None:
+    """Serialize the call's JSON object in its ``meta`` format to a file or standard output."""
+    text = _RENDERERS[document["meta"]["format"]](document)
     if output is None:
         sys.stdout.write(text)
         sys.stdout.flush()  # a write error surfaces here, not at interpreter exit
@@ -493,7 +492,7 @@ def main(argv=None) -> int:
         print(f"schedchain: error: {exc}", file=sys.stderr)
         return 2
     try:
-        emit(document, spec.fmt, spec.output)
+        emit(document, spec.output)
     except OSError as exc:
         print(f"schedchain: cannot write output: {exc}", file=sys.stderr)
         if spec.output is None:

@@ -52,6 +52,9 @@ ATOL = 1e-12
 #: user error; smaller drift is silently renormalized away at construction.
 DRIFT_TOL = 1e-9
 
+#: The move probabilities' names, in the order parameters, specs and output list them.
+_MOVES = ("p", "s", "q", "r")
+
 
 class ModelError(ValueError):
     """Base class for invalid chain inputs."""
@@ -154,7 +157,7 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_int(self.m, "m", 2))
-        given = {"p": self.p, "s": self.s, "q": self.q, "r": self.r}
+        given = {name: getattr(self, name) for name in _MOVES}
         for name, value in given.items():
             if not _is_real(value):
                 raise ParameterError(f"{name} must be a real number, got {value!r}")

@@ -50,6 +50,7 @@ from .model import (
     ParameterError,
     SchemeParams,
     Trajectory,
+    _MOVES,
     _check_int,
     _is_real,
     _survival,
@@ -158,10 +159,10 @@ def make_preset(
     pass ``m`` instead, in which case the forced unit mass on P1 is filled in.
     """
     pinned, note = CONSTRAINTS[scheme]
-    free = tuple(name for name in ("p", "s", "q", "r") if name not in pinned)
+    free = tuple(name for name in _MOVES if name not in pinned)
     given = dict(free_params or {})
     for name, value in given.items():
-        if name not in ("p", "s", "q", "r"):
+        if name not in _MOVES:
             raise ConstraintError(f"unknown move probability {name!r}")
         if name in pinned:
             raise ConstraintError(f"scheme {scheme.value} does not take {name!r} ({note})")
@@ -198,12 +199,16 @@ def make_preset(
         unit = np.zeros(m)
         unit[0] = 1.0
         pb = unit
-    init = Distribution.from_process_probs(pb)
-    if m is not None and init.m != m:
-        raise DimensionError(f"pb has {init.m} entries but m={m} was requested")
+    return SchemePreset(scheme, *_chain(values, pb, m))
 
-    params = SchemeParams(values["p"], values["s"], values["q"], values["r"], init.m)
-    return SchemePreset(scheme, params, init)
+
+def _chain(moves: dict, pb, m) -> tuple[SchemeParams, Distribution]:
+    """The chain of the move probabilities ``moves`` (0 for a name it lacks) started
+    from slot mass ``pb``; ``pb`` is checked first, then an ``m`` that is given."""
+    init = Distribution.from_process_probs(pb)
+    if m is not None and init.m != _check_int(m, "m", 2):
+        raise DimensionError(f"pb has {init.m} entries but m={m} was requested")
+    return SchemeParams(*(moves.get(name, 0.0) for name in _MOVES), init.m), init
 
 
 def _forward_reach(support: np.ndarray) -> np.ndarray:
@@ -299,14 +304,15 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
 def closed_form(preset: SchemePreset, n: int) -> Distribution:
     """The preset's distribution after ``n`` quanta, evaluated analytically.
 
-    The slot mass is ``IFFT(FFT(pb) · λ^n)`` over the eigenvalues of the
-    one-quantum ring step (see :func:`closed_form_table`); FIFO, round robin
-    and scheme IV are exact rotations of ``pb``, scaled by the mass left on
-    the ring, ``(1 - r)^n``.  Deadlock holds ``1 - (1 - r)^n``, evaluated without
-    cancellation so small masses keep their relative accuracy.  Agrees with
-    matrix propagation componentwise (the dual-route invariant); round-off is
-    about ε times the row mass, so slot masses far below that read 0.  The
-    row is bit-identical to row ``n`` of :func:`closed_form_trajectory`.
+    The slot mass is ``IFFT(FFT(pb) · (λ/λ_0)^n) · (1 - r)^n`` over the
+    eigenvalues ``λ_k`` of the one-quantum ring step (see
+    :func:`closed_form_table`); FIFO, round robin and scheme IV are exact
+    rotations of ``pb`` scaled by ``(1 - r)^n``.  Deadlock holds
+    ``1 - (1 - r)^n``, evaluated without cancellation so small masses keep
+    their relative accuracy.  Agrees with matrix propagation (the dual-route
+    invariant) to about ε times the row mass, so slot masses far below that
+    read 0.  The row is bit-identical to row ``n`` of
+    :func:`closed_form_trajectory`.
     """
     n = _check_int(n, "quanta", 0)
     return Distribution(closed_form_table(preset.params, preset.init.processes, (n,))[0])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import schedchain.cli as cli
-from schedchain import ConstraintError, DimensionError, ParameterError
+from schedchain import ConstraintError, DimensionError, ParameterError, Trajectory
 from schedchain.cli import RunSpec, execute, main, parse_args, render_csv
 
 PB_ARG = "0.27,0.15,0.17,0.18,0.23"
@@ -188,6 +188,25 @@ def test_hand_built_spec_emits_the_meta_of_the_same_argv(spec, argv):
     assert cli.render_json(execute(spec)) == cli.render_json(execute(parse_args(argv)))
 
 
+@pytest.mark.parametrize(
+    "spec, key, value",
+    [
+        (RunSpec(command="run", scheme="I_A", pb=PB5, quanta=np.int64(3), fmt="json"),
+         "quanta", 3),
+        (RunSpec(command="run", scheme="III_A", free={"p": np.float32(0.1)}, pb=PB5, quanta=3,
+                 fmt="json"), "free", {"p": float(np.float32(0.1))}),
+        (RunSpec(command="simulate", scheme="I_B", free={"r": 0.1}, pb=PB5, quanta=3,
+                 walks=np.int64(10), seed=np.uint64(7), fmt="json"), "walks", 10),
+    ],
+    ids=["int64-quanta", "float32-move", "int64-walks"],
+)
+def test_meta_writes_numpy_scalars_as_the_numbers_the_engines_read(spec, key, value):
+    text = cli.render_json(execute(spec))
+    meta = json.loads(text)["meta"]
+    assert meta[key] == value
+    assert cli.render_json(execute(RunSpec.from_meta(meta))) == text
+
+
 def test_missing_pb_for_scheme_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--scheme", "I_A", "--quanta", "5")
     assert code == 2
@@ -259,12 +278,21 @@ def test_missing_pb_for_scheme_exits_2(capsys):
             ParameterError,
             "^unknown format 'xml'",
         ),
+        # and --verify only on run, the one command with a cross-check
+        *(
+            (RunSpec(command=command, scheme="I_B", free={"r": 0.1}, pb=(0.5, 0.5),
+                     walks=10, seed=0, presets=(("I_B", {"r": 0.1}),), verify=True),
+             ParameterError,
+             f"^only run has a --verify check, not {command}$")
+            for command in ("closed-form", "simulate", "absorb", "compare")
+        ),
     ],
     ids=[
         "unknown-command", "pb-and-m-disagree", "unknown-scheme", "unknown-preset-scheme",
         "text-quanta", "text-walks", "text-m", "float-m",
         "closed-form-without-scheme", "compare-without-presets", "scalar-pb", "text-pb",
-        "unknown-format",
+        "unknown-format", "verify-closed-form", "verify-simulate", "verify-absorb",
+        "verify-compare",
     ],
 )
 def test_unknown_command_is_a_parameter_error(spec, exc, match):
@@ -556,6 +584,36 @@ def test_verify_checks_each_row_against_its_own_mass(capsys, monkeypatch):
     monkeypatch.setattr(cli, "closed_form_table", rotated)
     pb = ",".join(["1"] + ["0"] * 49)
     argv = ["run", "--p", "0.05", "--s", "0.66", "--r", "0.29", "--pb", pb, "--quanta", "100"]
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert code == 1
+    assert out == ""
+    assert "diverge" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--p", "0.05", "--s", "0.66", "--r", "0.29",
+         "--pb", ",".join(["1"] + ["0"] * 49), "--quanta", "100"),
+        ("run", "--scheme", "III_B", "--p", "0.4", "--r", "0.5", "--pb", "0.5,0.5",
+         "--quanta", "200"),
+    ],
+    ids=["raw-50-slots", "III_B"],
+)
+def test_verify_catches_an_engine_that_drops_light_rows(capsys, monkeypatch, argv):
+    # a propagate that moves each row's slot mass into D once it falls below
+    # 1e-10: the closed form still has that mass, so the row is checked against it
+    real = cli.propagate
+
+    def leaky(init, params, n):
+        table = real(init, params, n).to_array().copy()
+        ring = np.add.reduce(table[:, :-1], axis=1)
+        tail = ring < 1e-10
+        table[tail, -1] += ring[tail]
+        table[tail, :-1] = 0.0
+        return Trajectory(table)
+
+    monkeypatch.setattr(cli, "propagate", leaky)
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert code == 1
     assert out == ""

@@ -640,6 +640,13 @@ def test_package_loads_only_the_module_read_first():
     assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
 
 
+def test_package_resolves_a_module_not_yet_bound(monkeypatch):
+    # importing a submodule binds it on the package; unbound, the package's
+    # __getattr__ resolves it, as in a fresh interpreter
+    monkeypatch.delattr(schedchain, "montecarlo")
+    assert schedchain.montecarlo is montecarlo
+
+
 def test_package_dir_lists_dunders_modules_and_exports():
     dunders = {name for name in vars(schedchain) if name.startswith("__")}
     listed = dir(schedchain)
