@@ -70,9 +70,10 @@ def jain_fairness(shares) -> float:
     Equals 1 for perfectly equal shares and ``1/k`` when a single share
     monopolizes everything, and never exceeds 1: rounding above it is clipped.
     Scale-invariant at any finite scale, and bit for bit when normal shares
-    are scaled by a power of two.
+    are scaled by a power of two.  Shares are numbers, not text or bools
+    (:class:`ParameterError`).
     """
-    c = np.asarray(shares, dtype=float)
+    c = _frozen(shares, float, "shares")
     if c.ndim != 1 or c.size == 0:
         raise DimensionError("shares must be a non-empty vector")
     if not np.isfinite(c).all():
@@ -100,7 +101,7 @@ class SchemeMetrics:
 
     def __post_init__(self) -> None:
         for name in ("survival", "fairness", "efficiency_index"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), float))
+            object.__setattr__(self, name, _frozen(getattr(self, name), float, name))
 
 
 def metrics(trajectory: Trajectory, params: SchemeParams) -> SchemeMetrics:

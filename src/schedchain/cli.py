@@ -287,7 +287,7 @@ def parse_args(argv=None) -> RunSpec:
 def _resolve(spec: RunSpec):
     """RunSpec -> (params, init, preset or None)."""
     if spec.scheme is not None:
-        preset = make_preset(SchemeId(spec.scheme), spec.free, pb=spec.pb, m=spec.m)
+        preset = make_preset(spec.scheme, spec.free, pb=spec.pb, m=spec.m)
         return preset.params, preset.init, preset
     if spec.pb is None:
         raise ParameterError("raw-parameter runs need --pb")
@@ -363,10 +363,7 @@ def _exec_absorb(spec: RunSpec) -> dict:
 
 
 def _exec_compare(spec: RunSpec) -> dict:
-    presets = [
-        make_preset(SchemeId(scheme), free, pb=spec.pb, m=spec.m)
-        for scheme, free in spec.presets
-    ]
+    presets = [make_preset(scheme, free, pb=spec.pb, m=spec.m) for scheme, free in spec.presets]
     report = compare_presets(presets, spec.quanta)
     columns = ["scheme", "quantum", "survival", "fairness", "efficiency_index"]
     rows = []
@@ -418,8 +415,10 @@ def _check_sizes(spec: RunSpec) -> None:
     def count(value, default: int) -> int:
         return int(value) if isinstance(value, (int, np.integer)) else default
 
-    # as objects, so a pb of text or ragged lists is counted, not converted
-    m = count(spec.m, np.asarray(spec.pb, dtype=object).size)
+    try:  # pb's length sizes the ring; the engine refuses any pb that has none
+        m = count(spec.m, len(spec.pb))
+    except TypeError:
+        m = count(spec.m, 0)
     quanta = count(spec.quanta, 0)
     if 8 * (quanta + 1) * (m + 1) > sys.maxsize:
         raise MemoryError(f"a {quanta + 1} x {m + 1} table is too large to allocate")

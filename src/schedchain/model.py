@@ -21,6 +21,10 @@ One ownership rule holds for every result object of the package: an array
 of the object's dtype that nothing can write (it and every array along its
 ``.base`` chain are read-only) is kept as given, and anything else is replaced
 by a read-only copy, so a caller's writable array is copied and stays writable.
+One rule decides what an array input may hold, the rule a scalar meets: a
+count array holds integers and a mass array integers or reals, so text (even
+``"0.5"``), bools, complex numbers, ragged nesting and other objects raise
+:class:`ParameterError` naming the input.  ``_frozen`` applies both rules.
 """
 
 from __future__ import annotations
@@ -75,13 +79,13 @@ def state_labels(m: int) -> list[str]:
     return [f"P{i}" for i in range(1, m + 1)] + ["D"]
 
 
-def _is_real(value) -> bool:
-    """True for a real number that is not a bool (``True`` is no probability)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_real(value, kind=numbers.Real) -> bool:
+    """True for a number of ``kind`` that is not a bool (``True`` is no probability or count)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _check_int(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_real(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if value < minimum:
@@ -89,16 +93,36 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """``values`` itself when it is an ndarray of ``dtype`` that nothing can write
-    (it and every array along its ``.base`` chain are read-only), else a read-only copy."""
+def _frozen(values, dtype, name: str) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: ``float``, ``np.int64``, or ``int`` for
+    integers of any size within the float range, as numpy holds them, under the module's two
+    array rules; a refused input raises :class:`ParameterError` naming ``name``."""
     if isinstance(values, np.ndarray) and values.dtype == dtype:
         owner = values
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
             owner = owner.base
         if owner is None:
             return values
-    arr = np.array(values, dtype=dtype)
+        arr = np.array(values)
+    else:
+        # the dtype kinds an ndarray may have, and the kind of each entry of other input
+        kinds, kind = ("iuf", numbers.Real) if dtype is float else ("iu", numbers.Integral)
+        try:
+            if isinstance(values, np.ndarray) and values.dtype != object:
+                bad = [f"dtype {values.dtype}"] if values.dtype.kind not in kinds else []
+            else:  # as objects, so ragged nesting leaves a list where a number should be
+                entries = np.array(values, dtype=object).flat
+                bad = [repr(v) for v in entries if not _is_real(v, kind)]
+            arr = None if bad else np.array(values, dtype=None if dtype is int else dtype)
+            if arr is not None and arr.dtype == object:  # integers beyond uint64, as ``int``
+                arr.astype(float)  # raises OverflowError beyond the float range
+            if isinstance(values, np.ndarray) and values.dtype.kind == "u" and np.any(arr < 0):
+                bad = [f"{values.dtype} entries beyond {arr.dtype}"]  # numpy wraps them
+        except (ValueError, OverflowError) as exc:  # nesting numpy cannot hold; too large an int
+            bad = [f"{type(exc).__name__}: {exc}"]
+        if bad:
+            holds = "numbers" if dtype is float else "integers"
+            raise ParameterError(f"{name} must hold {holds}, got {bad[0]}")
     arr.flags.writeable = False
     return arr
 
@@ -108,10 +132,10 @@ def _stochastic(values, what: str, ndim: int) -> np.ndarray:
 
     Entries must be finite and non-negative, every row must sum to 1 within
     DRIFT_TOL (smaller drift is renormalized away) and hold at least three
-    entries (two process slots plus D).  Returns ``_frozen(values, float)``, or
+    entries (two process slots plus D).  Returns ``_frozen(values, float, what)``, or
     a new read-only array when a row is renormalized.
     """
-    arr = _frozen(values, float)
+    arr = _frozen(values, float, what)
     if arr.ndim != ndim:
         raise DimensionError(f"{what} must be {('one', 'two')[ndim - 1]}-dimensional")
     if np.minimum.reduce(arr, axis=None, initial=0.0) < 0.0:
@@ -178,10 +202,7 @@ class Distribution:
     @classmethod
     def from_process_probs(cls, pb) -> "Distribution":
         """Distribution with the given mass on the process slots and none on D."""
-        try:
-            pb = np.asarray(pb, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"pb must hold numbers ({exc})") from None
+        pb = _frozen(pb, float, "pb")
         if pb.ndim != 1:
             raise DimensionError("pb must be one-dimensional")
         return cls(np.append(pb, 0.0))

@@ -111,9 +111,8 @@ class OccupancyEstimate:
     """Per-quantum state occupancy counts over all walks.
 
     ``counts[t, j]`` is the number of walks in state ``j`` (columns ordered
-    P1..Pm, D) at quantum ``t``; every row sums to ``n_walks``.  Counts must
-    have an integer dtype and are held as int64 under the ownership rule of
-    :mod:`schedchain.model`.
+    P1..Pm, D) at quantum ``t``; every row sums to ``n_walks``.  Counts are
+    integers, held as int64 under the array rules of :mod:`schedchain.model`.
     """
 
     counts: np.ndarray
@@ -121,10 +120,7 @@ class OccupancyEstimate:
 
     def __post_init__(self) -> None:
         n_walks = _check_int(self.n_walks, "walks", 1)
-        counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "iu":
-            raise ParameterError(f"counts must hold integers, got dtype {counts.dtype}")
-        counts = _frozen(counts, np.int64)
+        counts = _frozen(self.counts, np.int64, "counts")
         if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] < 3:
             raise DimensionError(
                 "counts must be a (quanta + 1) x (m + 1) matrix with m >= 2"
@@ -158,15 +154,13 @@ class AbsorptionSample:
 
     def __post_init__(self) -> None:
         horizon = _check_int(self.horizon, "quanta", 0)
-        hits = np.asarray(self.first_hit)
+        hits = _frozen(self.first_hit, np.int64, "first_hit")
         if hits.ndim != 1 or hits.size == 0:
             raise DimensionError("first_hit must be a non-empty vector")
         # CENSORED is -1, so [CENSORED, horizon] holds it and the quanta 0..horizon
-        if hits.dtype.kind not in "iu" or hits.min() < CENSORED or hits.max() > horizon:
-            raise ParameterError(
-                f"first_hit must hold integers in [0, {horizon}] or CENSORED ({CENSORED})"
-            )
-        object.__setattr__(self, "first_hit", _frozen(hits, np.int64))
+        if hits.min() < CENSORED or hits.max() > horizon:
+            raise ParameterError(f"first_hit must be in [0, {horizon}] or CENSORED ({CENSORED})")
+        object.__setattr__(self, "first_hit", hits)
         object.__setattr__(self, "horizon", horizon)
 
     @property

@@ -52,6 +52,7 @@ from .model import (
     Trajectory,
     _MOVES,
     _check_int,
+    _frozen,
     _is_real,
     _survival,
 )
@@ -144,12 +145,12 @@ def _is_unit_on_first(pb: np.ndarray) -> bool:
 
 
 def make_preset(
-    scheme: SchemeId,
+    scheme: SchemeId | str,
     free_params: dict[str, float] | None = None,
     pb=None,
     m: int | None = None,
 ) -> SchemePreset:
-    """Build a validated preset from a scheme id and its free parameters.
+    """Build a validated preset from a scheme id or its name and its free parameters.
 
     ``free_params`` must supply all of the scheme's unpinned probabilities
     (see :data:`CONSTRAINTS`) but one, which the unit-mass condition fixes;
@@ -158,6 +159,7 @@ def make_preset(
     mass over the process slots and fixes ``m``; scheme IV may omit it and
     pass ``m`` instead, in which case the forced unit mass on P1 is filled in.
     """
+    scheme = SchemeId(scheme)
     pinned, note = CONSTRAINTS[scheme]
     free = tuple(name for name in _MOVES if name not in pinned)
     given = dict(free_params or {})
@@ -226,10 +228,10 @@ def _forward_reach(support: np.ndarray) -> np.ndarray:
 def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
     """The unvalidated rows ``(P1..Pm, D)`` after each quantum count in ``ns``.
 
-    ``pb`` is the initial slot mass, array-like of length ``params.m``
-    (:class:`DimensionError` otherwise); it is not checked to be a probability
-    vector.  Every count in ``ns`` must be a non-negative integer within the
-    float range, of any integer or float dtype (:class:`ParameterError`).
+    ``pb`` holds ``params.m`` slot masses, not checked to be a probability vector, and
+    ``ns`` counts ``>= 0`` within the float range, in one dimension; both meet the array
+    rule of :mod:`schedchain.model` (:class:`ParameterError`), and another shape raises
+    :class:`DimensionError`.
 
     One quantum maps the slot mass ``x`` to ``s·x + p·roll(x, 1) + q·roll(x, -1)``,
     a circulant matrix, so after ``n`` quanta the slot mass is
@@ -253,18 +255,15 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
     ring mass, so a slot far below that mass can be off by more than itself:
     a cell-relative check against this form would fail on correct code.
     """
-    counts = np.asarray(ns)
-    try:
-        quanta = counts.astype(float)  # exact below 2**53; rotations use the integers
-    except OverflowError:
-        raise ParameterError("quantum counts must be finite") from None
-    whole = (quanta >= 0.0) & (quanta < np.inf) & (np.floor(quanta) == quanta)
-    if not whole.all():
-        bad = quanta[~whole][0]
-        raise ParameterError(f"quantum counts must be integers >= 0, got {bad:g}")
+    counts = _frozen(ns, int, "quantum counts")
+    if counts.ndim != 1:
+        raise DimensionError("quantum counts must be one-dimensional")
+    if np.minimum.reduce(counts, initial=0) < 0:
+        raise ParameterError(f"quantum counts must be >= 0, got {counts.min()}")
+    quanta = counts.astype(float)  # exact below 2**53; rotations use the integers
     p, s, q, r = params.p, params.s, params.q, params.r
     m = params.m
-    pb = np.asarray(pb, dtype=float)
+    pb = _frozen(pb, float, "pb")
     if pb.shape != (m,):
         raise DimensionError(f"pb must hold m={m} slot masses, got shape {pb.shape}")
     table = np.empty((quanta.size, m + 1))
@@ -315,7 +314,8 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
     :func:`closed_form_trajectory`.
     """
     n = _check_int(n, "quanta", 0)
-    return Distribution(closed_form_table(preset.params, preset.init.processes, (n,))[0])
+    # an ndarray, which the count door reads by its dtype rather than entry by entry
+    return Distribution(closed_form_table(preset.params, preset.init.processes, np.array([n]))[0])
 
 
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:

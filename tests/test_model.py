@@ -27,7 +27,7 @@ from schedchain import (
     propagate,
     state_labels,
 )
-from schedchain.cli import VERIFY_TOL
+from schedchain.cli import VERIFY_TOL, RunSpec, execute
 
 PB5 = (0.27, 0.15, 0.17, 0.18, 0.23)
 
@@ -559,6 +559,85 @@ def test_result_types_keep_only_arrays_nothing_can_write(name):
     for arr in held(build(writable)):
         assert not np.shares_memory(arr, writable) and not arr.flags.writeable
     assert writable.flags.writeable
+
+
+_CHAIN3 = SchemeParams(0.4, 0.3, 0.2, 0.1, 3)
+
+# Each array input: the dimensions it takes, a call feeding it, and the name its errors give.
+_ARRAY_DOORS = {
+    "Distribution": (1, Distribution, "state probabilities"),
+    "from_process_probs": (1, Distribution.from_process_probs, "pb"),
+    "Trajectory": (2, Trajectory, "trajectory rows"),
+    "make_preset": (1, lambda a: make_preset(SchemeId.I_A, pb=a), "pb"),
+    "closed_form_table-pb": (1, lambda a: closed_form_table(_CHAIN3, a, [1]), "pb"),
+    "closed_form_table-ns": (
+        1, lambda a: closed_form_table(_CHAIN3, [0.2, 0.3, 0.5], a), "quantum counts"
+    ),
+    "jain_fairness": (1, jain_fairness, "shares"),
+    "SchemeMetrics": (
+        1, lambda a: analysis.SchemeMetrics(a, [1.0] * 3, [1.0] * 3, 1.0), "survival"
+    ),
+    "OccupancyEstimate": (2, lambda a: montecarlo.OccupancyEstimate(a, 1), "counts"),
+    "AbsorptionSample": (1, lambda a: montecarlo.AbsorptionSample(a, 5), "first_hit"),
+    "execute-pb": (
+        1,
+        lambda a: execute(RunSpec(command="run", scheme="I_A", pb=tuple(a), quanta=1, fmt="json")),
+        "pb",
+    ),
+}
+
+# Rows of three entries no array input takes, as lists and as ndarrays.
+_BAD_ROWS = {
+    "numeric-text": ["1", "0", "0"],
+    "numeric-text-array": np.array(["1", "0", "0"]),
+    "bools": [True, False, False],
+    "bool-array": np.array([True, False, False]),
+    "bool-among-numbers": [True, 0, 0],
+    "text": ["a", "b", "c"],
+    "none": [None, 0, 0],
+    "complex-array": np.array([1j, 0, 0]),
+    "ragged": [[1, 0], 0, 0],
+}
+
+
+@pytest.mark.parametrize("row", list(_BAD_ROWS))
+@pytest.mark.parametrize("door", list(_ARRAY_DOORS))
+def test_array_inputs_hold_only_numbers(door, row):
+    ndim, call, name = _ARRAY_DOORS[door]
+    bad = _BAD_ROWS[row]
+    if ndim == 2:
+        bad = np.stack([bad, bad]) if isinstance(bad, np.ndarray) else [bad, bad]
+    with pytest.raises(model.ModelError, match=rf"^{name} must hold (numbers|integers)"):
+        call(bad)
+    # ragged nesting of rows, and of arrays too unequal for numpy to hold as objects
+    for ragged in ([[1, 0], [0]], [np.zeros((2, 2)), np.zeros((2, 3))]):
+        if ndim == 2:
+            ragged = [[1, 0, 0], [1, 0]] if isinstance(ragged[0], list) else [ragged, ragged]
+        with pytest.raises(model.ModelError, match=rf"^{name} must hold (numbers|integers)"):
+            call(ragged)
+
+
+def test_a_spec_with_a_pb_of_text_is_refused():
+    spec = RunSpec(command="run", scheme="I_A", pb=("0.5", "0.5"), quanta=1, fmt="json")
+    with pytest.raises(ParameterError, match="^pb must hold numbers"):
+        execute(spec)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: closed_form_table(_CHAIN3, [0.2, 0.3, 0.5], [2.0]),
+        lambda: closed_form_table(SchemeParams(1.0, 0.0, 0.0, 0.0, 3), [0.2, 0.3, 0.5], [2.0]),
+        lambda: closed_form_table(_CHAIN3, [0.2, 0.3, 0.5], np.array([0.0, 2.0])),
+        lambda: montecarlo.OccupancyEstimate(np.array([[1.0, 0.0, 0.0]]), 1),
+        lambda: montecarlo.AbsorptionSample([2.0], 5),
+    ],
+    ids=["closed-form-transform", "closed-form-rotation", "float-array", "occupancy", "absorption"],
+)
+def test_counts_are_integers_not_whole_floats(call):
+    # as closed_form(preset, 2.0) and propagate(init, params, 2.0) refuse the count
+    with pytest.raises(ParameterError, match="must hold integers"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,10 @@ def test_occupancy_estimate_rejects_inconsistent_counts(counts, n_walks, exc, ma
         ([0, 6], 5, ParameterError, None),  # a hit past the horizon
         ([1.7], 5, ParameterError, None),  # a fractional hit
         (np.empty(0, dtype=np.int64), 5, DimensionError, None),  # no walks
+        # 2**64 - 1 is no hit, though numpy's cast to int64 would make it CENSORED
+        (np.array([2**64 - 1, 3], dtype=np.uint64), 5, ParameterError, None),
     ],
-    ids=["negative-horizon", "below-censored", "past-horizon", "fractional", "empty"],
+    ids=["negative-horizon", "below-censored", "past-horizon", "fractional", "empty", "uint64"],
 )
 def test_absorption_sample_rejects_inconsistent_hits(first_hit, horizon, exc, match):
     with pytest.raises(exc, match=match):

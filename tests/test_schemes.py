@@ -96,6 +96,17 @@ def test_mixture_with_hazard_completes_third_parameter():
     assert preset.params.q == 0.0
 
 
+def test_make_preset_reads_the_scheme_by_name():
+    by_name = make_preset("III_B", {"p": 0.417, "r": 0.166}, pb=PB5)
+    by_id = make_preset(SchemeId.III_B, {"p": 0.417, "r": 0.166}, pb=PB5)
+    assert by_name.scheme is SchemeId.III_B
+    assert by_name.params == by_id.params
+    assert make_preset("I_A", {}, pb=(0.5, 0.5)).scheme is SchemeId.I_A
+    for bad in ("bogus", "i_a", None, ["I_A"]):
+        with pytest.raises(ParameterError, match="^unknown scheme"):
+            make_preset(bad, {}, pb=(0.5, 0.5))
+
+
 def test_pinned_start_preset_defaults_to_first_slot():
     preset = make_preset(SchemeId.IV, m=5)
     assert np.array_equal(preset.init.processes, [1, 0, 0, 0, 0])
@@ -219,6 +230,17 @@ def test_closed_form_rejects_negative_quantum():
         closed_form_table(params, list(PB5), [0, 7]),
         closed_form_table(params, np.array(PB5), [0, 7]),
     )
+
+
+@pytest.mark.parametrize("ns", [5, np.int64(5), [[1, 2], [3, 4]], np.zeros((2, 1), int)])
+@pytest.mark.parametrize(
+    "params",
+    [SchemeParams(0.4, 0.3, 0.2, 0.1, 5), SchemeParams(1.0, 0.0, 0.0, 0.0, 5)],
+    ids=["transform", "rotation"],
+)
+def test_closed_form_table_takes_one_dimensional_counts(params, ns):
+    with pytest.raises(DimensionError, match="^quantum counts must be one-dimensional"):
+        closed_form_table(params, np.array(PB5), ns)
 
 
 # ---------------------------------------------------------------------------
