@@ -1,12 +1,12 @@
 """Seeded Monte Carlo engine: independent scheduler walks through the chain.
 
 Every walk owns its own Philox stream keyed by ``(seed, walk index)``, so a
-simulation is bit-reproducible and its result does not depend on tile size,
-worker count, or execution order.  Walk ``w`` consumes its draws in a fixed
-order: draw 0 picks the initial state by inverse CDF over ``(P1..Pm, D)``,
-and draw ``t`` decides quantum ``t`` by inverse CDF over the fixed category
-order (advance, stay, retreat, deadlock).  That category order is part of
-the external contract.  Absorbed walks keep drawing (and discarding), so a
+simulation is bit-reproducible and its result does not depend on tile size
+or execution order.  Walk ``w`` consumes its draws in a fixed order: draw 0
+picks the initial state by inverse CDF over ``(P1..Pm, D)``, and draw ``t``
+decides quantum ``t`` by inverse CDF over the fixed category order
+(advance, stay, retreat, deadlock).  That category order is part of the
+external contract.  Absorbed walks keep drawing (and discarding), so a
 walk's path is a pure function of ``(seed, walk, params, init)`` and extends
 unchanged under a longer horizon.
 
@@ -14,19 +14,16 @@ Walks are swept in tiles of at most ``_TILE_BUDGET`` draws, with no Python
 loop over quanta, so :func:`simulate` and :func:`absorption_times` need
 their outputs plus a fixed few MB at any horizon.  Philox is counter based,
 so a walk longer than one tile resumes its stream where the previous time
-block ended and sees exactly the draws it would see in one piece.  For the
-same reason tiles are independent: on a host with more than one CPU, long
-tiles are shared by the calling thread and one helper thread, and the worker
-count changes no draw and no output bit (Salmon et al., "Parallel Random
-Numbers: As Easy as 1, 2, 3", SC'11).
+block ended and sees exactly the draws it would see in one piece (Salmon et
+al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Every tile is
+swept on the calling thread: on a 2-vCPU host a helper thread sharing long
+tiles made no command-line call faster.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,25 +53,10 @@ CENSORED = -1
 #: Censored fraction above which the empirical mean is flagged as biased low.
 CENSOR_WARN_FRACTION = 1e-3
 
-#: Draws held in memory at once by one worker of the sweep: a tile of walks x
-#: quanta holds at most this many (a time block of two workers half as many),
-#: and one bincount into ``counts`` covers at most this many cells.  Any value
-#: of at least 4 yields identical results.
+#: Draws held in memory at once by the sweep: a tile of walks x quanta holds
+#: at most this many, and one bincount into ``counts`` covers at most this
+#: many cells.  Any value of at least 4 yields identical results.
 _TILE_BUDGET = 1 << 16
-
-#: Shortest tile, in quanta, that two workers share.  A worker rekeys the
-#: Philox stream of every walk holding the GIL, so on tiles of shorter walks
-#: the two workers mostly wait for each other: measured on 2 vCPUs with the
-#: state-struct rekey, two workers were slower at 800 quanta and faster from
-#: 1000 on.
-_PARALLEL_SPAN = 1000
-
-
-def _spare_cpu() -> bool:
-    """True when this process may run on more than one CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,13 +190,12 @@ def _state_views(bg: np.random.Philox):
 class _WalkStreams:
     """One Philox generator, rekeyed to the stream of each walk in turn.
 
-    Each sweep worker builds its own, so no generator is shared between
-    threads.  With ``state_struct`` (pass :func:`_state_rekey_works`)
-    rekeying writes the key, the counter and ``buffer_pos`` straight into
-    the generator's state struct; otherwise each walk gets the documented
-    ``Philox(key=..., counter=...)``.  Measured on a 2-vCPU Xeon VM, a fill
-    of four draws a walk takes about 1.2 us a walk through the struct and
-    19 us through the constructor.
+    One serves every tile of a sweep.  With ``state_struct`` (pass
+    :func:`_state_rekey_works`) rekeying writes the key, the counter and
+    ``buffer_pos`` straight into the generator's state struct; otherwise
+    each walk gets the documented ``Philox(key=..., counter=...)``.
+    Measured on a 2-vCPU Xeon VM, a fill of four draws a walk takes about
+    1.2 us a walk through the struct and 19 us through the constructor.
     """
 
     def __init__(self, state_struct: bool):
@@ -254,11 +235,11 @@ class _WalkStreams:
 def _state_rekey_works() -> bool:
     """Whether keying a walk through the state struct gives its documented stream.
 
-    Runs once per process, before any sweep worker starts, so the cache
-    needs no lock; any error counts as a mismatch.  Nothing is
-    written through the views until they read back the key and counter
-    numpy set, and the struct's two leading words must look like pointers
-    (a key or counter held inline would show 2 or a word above 2**56 there).
+    Runs once per process, on the first sweep; any error counts as a
+    mismatch.  Nothing is written through the views until they read back the
+    key and counter numpy set, and the struct's two leading words must look
+    like pointers (a key or counter held inline would show 2 or a word above
+    2**56 there).
     """
     seed, walk = 0xD1B54A32D192ED03, 0x9E3779B97F4A7C15
     try:
@@ -309,13 +290,8 @@ def _sweep(
     (column 0 if it died in an earlier block), so one lookup in that table
     maps positions mod ``m`` and every quantum from the first hit on to D.
 
-    On a host with more than one CPU, tiles of at least
-    :data:`_PARALLEL_SPAN` quanta are shared by the calling thread and one
-    helper thread, alternately; a walk's time blocks stay with one worker.
-    Workers write disjoint walks of ``first_hit`` and add their tallies to
-    ``counts`` under a lock, and each keeps to half the budget in time
-    blocks.  Neither tiling nor the worker count changes the draws a walk
-    sees, so every budget gives the same arrays.
+    Every tile runs on the calling thread, one after another.  Tiling
+    changes no draw a walk sees, so every budget gives the same arrays.
     """
     m = config.params.m
     n_walks = config.n_walks
@@ -330,14 +306,10 @@ def _sweep(
 
     whole = n_cols <= _TILE_BUDGET
     tile_walks = min(n_walks, _TILE_BUDGET // n_cols) if whole else 1
-    workers = 2 if (
-        tile_walks < n_walks and min(n_cols, _TILE_BUDGET) >= _PARALLEL_SPAN and _spare_cpu()
-    ) else 1
     # A time block other than the last ends on a multiple of 4 draws, where
     # a Philox stream resumes.  One bincount counts ``group`` quanta, so its
     # output fits the budget too.
-    block = _TILE_BUDGET // workers
-    span = n_cols if whole else max(4, block - block % 4)
+    span = n_cols if whole else max(4, _TILE_BUDGET - _TILE_BUDGET % 4)
     group = max(1, _TILE_BUDGET // (m + 1))
     offsets = np.arange(min(span, group))[:, None] * (m + 1)
     # A position is slot + span + the running sum of at most span moves, so
@@ -346,97 +318,63 @@ def _sweep(
     ring = np.append(np.arange(-span, span + m) % m, m)
     jump = ring.size
 
-    starts = range(0, n_walks, tile_walks)
-    lock = threading.Lock()
-    stop = threading.Event()
-    state_struct = _state_rekey_works()
+    # One workspace and one generator serve every tile; the draw buffer
+    # becomes the position table once a tile's moves are read from it.
+    streams = _WalkStreams(_state_rekey_works())
+    size = tile_walks * span
+    draws = np.empty(size)
+    dead = np.empty(size, dtype=bool)
+    if not hits_only:
+        advance, back = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    for lo in range(0, n_walks, tile_walks):
+        hi = min(lo + tile_walks, n_walks)
+        hits = first_hit[lo:hi]
+        rows = np.arange(hi - lo)
+        for t0 in range(0, n_cols, span):
+            t1 = min(t0 + span, n_cols)
+            shape = (hi - lo, t1 - t0)
+            n = shape[0] * shape[1]
+            u = draws[:n].reshape(shape)
+            dd = dead[:n].reshape(shape)
+            streams.fill(config.seed, lo, u, t0)
+            np.greater_equal(u, c3, out=dd)
+            if t0 == 0:
+                slot = np.searchsorted(cdf, u[:, 0], side="right")
+                dd[:, 0] = slot == m
 
-    def sweep_tiles(first: int) -> None:
-        # One workspace and one generator serve every tile of this worker;
-        # the draw buffer becomes the position table once a tile's moves are
-        # read from it.
-        streams = _WalkStreams(state_struct)
-        size = tile_walks * span
-        draws = np.empty(size)
-        dead = np.empty(size, dtype=bool)
-        if not hits_only:
-            advance, back = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        for lo in starts[first::workers]:
-            if stop.is_set():
-                return
-            hi = min(lo + tile_walks, n_walks)
-            hits = first_hit[lo:hi]
-            rows = np.arange(hi - lo)
-            for t0 in range(0, n_cols, span):
-                t1 = min(t0 + span, n_cols)
-                shape = (hi - lo, t1 - t0)
-                n = shape[0] * shape[1]
-                u = draws[:n].reshape(shape)
-                dd = dead[:n].reshape(shape)
-                streams.fill(config.seed, lo, u, t0)
-                np.greater_equal(u, c3, out=dd)
-                if t0 == 0:
-                    slot = np.searchsorted(cdf, u[:, 0], side="right")
-                    dd[:, 0] = slot == m
+            # first hits: the first deadlock column of a walk still alive
+            hit_col = dd.argmax(axis=1)
+            alive = hits == CENSORED
+            new = alive & dd[rows, hit_col]
+            hits[new] = t0 + hit_col[new]
+            if hits_only:
+                continue
 
-                # first hits: the first deadlock column of a walk still alive
-                hit_col = dd.argmax(axis=1)
-                alive = hits == CENSORED
-                new = alive & dd[rows, hit_col]
-                hits[new] = t0 + hit_col[new]
-                if hits_only:
-                    continue
+            adv, bk = advance[:n].reshape(shape), back[:n].reshape(shape)
+            np.less(u, c1, out=adv)
+            np.greater_equal(u, c2, out=bk)
+            moves = adv.view(np.int8)
+            moves -= bk.view(np.int8)  # u >= c2 takes retreat and deadlock draws,
+            moves += dd.view(np.int8)  # so deadlock draws are added back
+            if t0 == 0:
+                moves[:, 0] = 0
+            hit_col[~alive] = 0
+            jumped = np.flatnonzero(new | ~alive)
 
-                adv, bk = advance[:n].reshape(shape), back[:n].reshape(shape)
-                np.less(u, c1, out=adv)
-                np.greater_equal(u, c2, out=bk)
-                moves = adv.view(np.int8)
-                moves -= bk.view(np.int8)  # u >= c2 takes retreat and deadlock draws,
-                moves += dd.view(np.int8)  # so deadlock draws are added back
-                if t0 == 0:
-                    moves[:, 0] = 0
-                hit_col[~alive] = 0
-                jumped = np.flatnonzero(new | ~alive)
+            pos = draws.view(np.int64)[:n].reshape(shape[::-1])
+            pos[...] = moves.T
+            pos[0] += slot + span
+            pos[hit_col[jumped], jumped] += jump
+            np.add.accumulate(pos, axis=0, out=pos)
+            state = np.take(ring, pos, out=pos, mode="clip")
+            slot = state[-1].copy()
 
-                pos = draws.view(np.int64)[:n].reshape(shape[::-1])
-                pos[...] = moves.T
-                pos[0] += slot + span
-                pos[hit_col[jumped], jumped] += jump
-                np.add.accumulate(pos, axis=0, out=pos)
-                state = np.take(ring, pos, out=pos, mode="clip")
-                slot = state[-1].copy()
-
-                for g0 in range(0, shape[1], group):
-                    g1 = min(g0 + group, shape[1])
-                    cells = state[g0:g1]
-                    cells += offsets[: g1 - g0]
-                    tally = np.bincount(cells.ravel(), minlength=(g1 - g0) * (m + 1))
-                    with lock:
-                        counts[t0 + g0 : t0 + g1] += tally.reshape(g1 - g0, m + 1)
-
-    if workers == 1:
-        sweep_tiles(0)
-        return counts, first_hit
-
-    errors: list[BaseException] = []
-
-    def helper() -> None:
-        try:
-            sweep_tiles(1)
-        except BaseException as exc:  # handed to the calling thread
-            errors.append(exc)
-
-    thread = threading.Thread(target=helper, name="schedchain-sweep", daemon=True)
-    thread.start()
-    try:
-        sweep_tiles(0)
-    except BaseException:
-        stop.set()  # the helper stops at its next tile
-        raise
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+            for g0 in range(0, shape[1], group):
+                g1 = min(g0 + group, shape[1])
+                cells = state[g0:g1]
+                cells += offsets[: g1 - g0]
+                tally = np.bincount(cells.ravel(), minlength=(g1 - g0) * (m + 1))
+                counts[t0 + g0 : t0 + g1] += tally.reshape(g1 - g0, m + 1)
     return counts, first_hit
 
 

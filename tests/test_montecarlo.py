@@ -1,8 +1,8 @@
 """Tests for the seeded Monte Carlo walk engine."""
 
 import ctypes
+import os
 import threading
-import time
 import tracemalloc
 import types
 
@@ -218,6 +218,7 @@ def test_identical_configs_reproduce_bitwise():
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):
+    default = mc._TILE_BUDGET
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=1000, seed=13)
     counts, first_hit = mc._sweep(config)
@@ -229,77 +230,34 @@ def test_chunk_size_does_not_change_results(monkeypatch):
         tiled = mc._sweep(config)
         assert np.array_equal(tiled[0], counts), budget
         assert np.array_equal(tiled[1], first_hit), budget
+    # the default budget against one tile of every walk: three tiles of whole
+    # walks, then walks longer than the budget, cut into time blocks
+    hazard = make_preset(SchemeId.III_B, {"p": 0.4, "r": 1e-4}, pb=PB5)
+    for config in (
+        SimConfig.from_preset(preset, n_quanta=15, n_walks=9000, seed=37),
+        SimConfig.from_preset(hazard, n_quanta=70_000, n_walks=3, seed=37),
+    ):
+        monkeypatch.setattr(mc, "_TILE_BUDGET", default)
+        tiled = mc._sweep(config)
+        monkeypatch.setattr(mc, "_TILE_BUDGET", 2 ** 20)
+        for name, a, b in zip(("counts", "first_hit"), tiled, mc._sweep(config)):
+            assert np.array_equal(a, b), (config.n_walks, name)
 
 
-def _two_workers(monkeypatch, on: bool):
-    """Open the sweep's two-worker gate for any tile, or shut it."""
-    monkeypatch.setattr(mc, "_spare_cpu", lambda: True)
-    monkeypatch.setattr(mc, "_PARALLEL_SPAN", 1 if on else 2 ** 62)
+def test_sweep_starts_no_thread(monkeypatch):
+    # two free CPUs and tiles of 1500 quanta: every tile still runs on the
+    # calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
+    def no_start(thread):
+        raise AssertionError(f"the sweep started thread {thread.name}")
 
-@pytest.mark.parametrize(
-    "budget, n_walks, n_quanta",
-    [
-        # time blocks of 4 draws (7, 10), one walk per tile (16), three walks
-        # per tile (50), one tile and so one worker (2**20)
-        (7, 300, 15),
-        (10, 300, 15),
-        (16, 300, 15),
-        (50, 300, 15),
-        (2 ** 20, 300, 15),
-        # default budget: three tiles of whole walks, then walks longer than
-        # the budget, whose time blocks two workers halve
-        (mc._TILE_BUDGET, 9000, 15),
-        (mc._TILE_BUDGET, 3, 70_000),
-    ],
-)
-def test_worker_count_does_not_change_results(monkeypatch, budget, n_walks, n_quanta):
-    preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2 if n_quanta < 100 else 1e-4}, pb=PB5)
-    config = SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks, seed=37)
-    monkeypatch.setattr(mc, "_TILE_BUDGET", budget)
-    fill = mc._WalkStreams.fill
-    fillers = set()
-
-    def recording_fill(streams, *args):
-        ident = threading.get_ident()
-        if ident not in fillers and ident != threading.main_thread().ident:
-            time.sleep(0.05)  # the helper starts late: it must still sweep its tiles
-        fillers.add(ident)
-        fill(streams, *args)
-
-    monkeypatch.setattr(mc._WalkStreams, "fill", recording_fill)
-    _two_workers(monkeypatch, False)
-    one = mc._sweep(config)
-    assert len(fillers) == 1
-    fillers.clear()
-    _two_workers(monkeypatch, True)
-    two = mc._sweep(config)
-    several_tiles = budget < (n_quanta + 1) * n_walks
-    assert len(fillers) == (2 if several_tiles else 1)
-    for name, a, b in zip(("counts", "first_hit"), one, two):
-        assert np.array_equal(a, b), name
-
-
-@pytest.mark.parametrize("bad_walk", [0, 4], ids=["caller-tile", "helper-tile"])
-def test_worker_error_reaches_the_caller_and_threads_are_joined(monkeypatch, bad_walk):
-    # three walks a tile: walk 0 is in the caller's first tile, walk 4 in
-    # the helper's
-    monkeypatch.setattr(mc, "_TILE_BUDGET", 48)
-    _two_workers(monkeypatch, True)
-    fill = mc._WalkStreams.fill
-
-    def failing_fill(streams, seed, first_walk, out, first_draw):
-        if first_walk <= bad_walk < first_walk + out.shape[0]:
-            raise RuntimeError(f"walk {bad_walk} failed")
-        fill(streams, seed, first_walk, out, first_draw)
-
-    monkeypatch.setattr(mc._WalkStreams, "fill", failing_fill)
-    preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
-    config = SimConfig.from_preset(preset, n_quanta=15, n_walks=60, seed=41)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match=f"walk {bad_walk} failed"):
-        simulate(config)
-    assert threading.active_count() == before
+    monkeypatch.setattr(threading.Thread, "start", no_start)
+    preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 1e-3}, pb=PB5)
+    config = SimConfig.from_preset(preset, n_quanta=1500, n_walks=100, seed=47)
+    assert config.n_walks * (config.n_quanta + 1) > mc._TILE_BUDGET  # several tiles
+    simulate(config)
+    absorption_times(config)
 
 
 def _traced_peak(run, config):
@@ -352,7 +310,7 @@ def test_longer_horizon_extends_the_same_paths():
 
 
 def _fill(seed, first_walk, out, first_draw=0):
-    """Draws of consecutive walks, from a generator as a sweep worker builds it."""
+    """Draws of consecutive walks, from a generator as a sweep builds it."""
     mc._WalkStreams(mc._state_rekey_works()).fill(seed, first_walk, out, first_draw)
 
 
@@ -489,17 +447,8 @@ def test_rekey_self_check_refuses_a_struct_without_pointers(monkeypatch, fresh_r
         assert fills == []
 
 
-@pytest.mark.parametrize("count, spare", [(None, False), (1, False), (2, True), (64, True)])
-def test_spare_cpu_falls_back_to_the_cpu_count(monkeypatch, count, spare):
-    # platforms without sched_getaffinity (macOS, Windows) ask for the CPU count
-    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(mc.os, "cpu_count", lambda: count)
-    assert mc._spare_cpu() is spare
-
-
 def test_rekey_self_check_runs_once_per_process(monkeypatch, fresh_rekey):
     monkeypatch.setattr(mc, "_TILE_BUDGET", 48)
-    _two_workers(monkeypatch, True)  # each worker builds its own generator
     preset = make_preset(SchemeId.III_B, {"p": 0.4, "r": 0.2}, pb=PB5)
     config = SimConfig.from_preset(preset, n_quanta=15, n_walks=60, seed=41)
     simulate(config)
