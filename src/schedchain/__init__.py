@@ -9,7 +9,7 @@ The engine modules load on first use: ``import schedchain`` imports none of
 them, and a name is resolved from the module lists when it is first read.
 """
 
-from importlib import import_module
+from importlib import import_module, machinery
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,9 @@ def __getattr__(name: str):
         value = ["__version__"]
         for module in _MODULES:
             value.extend(import_module(f".{module}", __name__).__all__)
+    elif machinery.PathFinder.find_spec(f"{__name__}.{name}", __path__) is not None:
+        # cli or __main__: ``from schedchain import cli`` asks here before importing it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     else:
         for module in _MODULES:
             engine = import_module(f".{module}", __name__)

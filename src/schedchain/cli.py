@@ -32,6 +32,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -297,7 +298,7 @@ def _resolve(spec: RunSpec):
 
 
 def _trajectory(table: np.ndarray, **extra) -> dict:
-    rows = [[n] + row for n, row in enumerate(table.tolist())]
+    rows = list(zip(range(len(table)), *table.T.tolist()))
     return {"columns": ["quantum"] + state_labels(table.shape[1] - 1), "rows": rows, **extra}
 
 
@@ -348,8 +349,7 @@ def _exec_absorb(spec: RunSpec) -> dict:
     sample = absorption_times(config)
     hits = np.bincount(sample.first_hit[sample.first_hit != CENSORED])
     histogram[: hits.size] = hits
-    rows = [[n, int(c)] for n, c in enumerate(histogram)]
-    rows.append([CENSORED, sample.n_censored])
+    rows = [*zip(range(histogram.size), histogram.tolist()), (CENSORED, sample.n_censored)]
     mean = sample.mean_first_hit
     summary = {
         "mean_first_hit": None if np.isnan(mean) else mean,
@@ -371,12 +371,8 @@ def _exec_compare(spec: RunSpec) -> dict:
     for entry in report.entries:
         mx = entry.metrics
         scheme = entry.scheme.value
-        rows.extend(
-            [scheme, n, survival, fairness, efficiency]
-            for n, (survival, fairness, efficiency) in enumerate(
-                zip(mx.survival.tolist(), mx.fairness.tolist(), mx.efficiency_index.tolist())
-            )
-        )
+        curves = mx.survival.tolist(), mx.fairness.tolist(), mx.efficiency_index.tolist()
+        rows.extend(zip(repeat(scheme), range(len(curves[0])), *curves))
         expected = mx.expected_absorption
         schemes_json.append(
             {
@@ -436,9 +432,9 @@ def _lookup(table: dict, key, what: str):
 def execute(spec: RunSpec) -> dict:
     """Run the engines for a spec and return the call's JSON object.
 
-    It holds ``meta``, ``columns`` and ``rows`` (one type per column), then the
-    command's JSON-only keys.  An unknown command or format, and ``verify`` on a
-    command with no cross-check, are refused first.
+    It holds ``meta``, ``columns`` and ``rows`` (row tuples, one type per column),
+    then the command's JSON-only keys.  An unknown command or format, and
+    ``verify`` on a command with no cross-check, are refused first.
     """
     engine, executor = _lookup(_EXECUTORS, spec.command, "command")
     _lookup(_RENDERERS, spec.fmt, "format")
@@ -453,7 +449,7 @@ def render_csv(document: dict) -> str:
     # floats print with 12 significant digits, anything else as str()
     rows = document["rows"]
     template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
-    lines = [",".join(document["columns"]), *(template % tuple(row) for row in rows)]
+    lines = [",".join(document["columns"]), *(template % row for row in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -521,6 +521,34 @@ def test_absorb_summary_and_histogram(capsys):
     assert censored_row == [-1, summary["n_censored"]]
 
 
+def test_compare_csv_text_is_pinned(capsys):
+    # a str, an int and three float columns; a float 1.0 prints as "1"
+    code, out, _ = run_cli(
+        capsys,
+        "compare", "--preset", "III_B:p=0.417,r=0.166", "--preset", "I_B:r=0.166",
+        "--pb", PB_ARG, "--quanta", "1",
+    )
+    assert code == 0
+    assert out == (
+        "scheme,quantum,survival,fairness,efficiency_index\n"
+        "III_B,0,1,0.954198473282,0.954198473282\n"
+        "III_B,1,0.834,0.976324139614,0.814254332438\n"
+        "I_B,0,1,0.954198473282,0.954198473282\n"
+        "I_B,1,0.834,0.954198473282,0.795801526718\n"
+    )
+
+
+def test_absorb_csv_text_is_pinned(capsys):
+    # int columns only, with the censored walks on the final -1 row
+    code, out, _ = run_cli(
+        capsys,
+        "absorb", "--scheme", "I_B", "--r", "0.5", "--pb", PB_ARG,
+        "--quanta", "3", "--walks", "20", "--seed", "4", "--format", "csv",
+    )
+    assert code == 0
+    assert out == "first_hit_quantum,walks\n0,0\n1,10\n2,6\n3,1\n-1,3\n"
+
+
 # ---------------------------------------------------------------------------
 # verification and failure paths
 

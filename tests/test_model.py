@@ -743,6 +743,21 @@ def test_package_loads_only_the_module_read_first():
     assert (child.returncode, child.stdout) == (0, "False\n"), child.stderr
 
 
+def test_from_package_import_cli_loads_only_the_engines_cli_imports():
+    # ``from schedchain import cli`` asks the package for the name before it
+    # imports the submodule, so the package must not search the engines for it
+    code = (
+        "import sys\n"
+        "from schedchain import cli\n"
+        "assert cli is sys.modules['schedchain.cli']\n"
+        "loaded = {m for m in sys.modules if m.startswith('schedchain.')}\n"
+        "print(sorted(loaded - {cli.__name__}))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    expected = "['schedchain.model', 'schedchain.schemes']\n"
+    assert (child.returncode, child.stdout) == (0, expected), child.stderr
+
+
 def test_package_resolves_a_module_not_yet_bound(monkeypatch):
     # importing a submodule binds it on the package; unbound, the package's
     # __getattr__ resolves it, as in a fresh interpreter
