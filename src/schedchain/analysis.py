@@ -48,7 +48,7 @@ _TIE_RTOL = 1e-12
 
 
 def _jain(shares: np.ndarray) -> np.ndarray:
-    """Jain index of each row of finite non-negative shares with a positive total.
+    """Jain index of each row of finite non-negative shares; a row of zeros reads 1.
 
     Each row is first scaled by the power of two that puts its largest share
     in [0.5, 1) (the index is scale-invariant), so no sum or square overflows
@@ -61,7 +61,9 @@ def _jain(shares: np.ndarray) -> np.ndarray:
     _, exponent = np.frexp(shares.max(axis=-1, keepdims=True))
     shares = np.ldexp(shares, -exponent)
     total = shares.sum(axis=-1)
-    return np.minimum(total * total / (k * (shares * shares).sum(axis=-1)), 1.0)
+    squares = (shares * shares).sum(axis=-1)
+    index = np.divide(total * total, k * squares, out=np.ones_like(total), where=squares > 0)
+    return np.minimum(index, 1.0)
 
 
 def jain_fairness(shares) -> float:
@@ -91,7 +93,7 @@ class SchemeMetrics:
 
     ``expected_absorption`` is the mean number of quanta until deadlock,
     ``1/r`` for a state-independent hazard ``r > 0`` and infinite otherwise.
-    ``fairness[n]`` is 1 by convention once survival reaches 0.
+    ``fairness[n]`` is 1 once survival reaches 0: a row of zeros has Jain index 1.
     """
 
     survival: np.ndarray
@@ -113,13 +115,9 @@ def metrics(trajectory: Trajectory, params: SchemeParams) -> SchemeMetrics:
     if params.m != trajectory.m:
         raise DimensionError(f"trajectory has m={trajectory.m} but params have m={params.m}")
     survival = trajectory.survival()
-
-    # fairness is 1 once no mass is left on the process slots; the Jain index
-    # is scale-invariant, so the slot masses serve as conditional shares
-    alive = survival > 0.0
-    fairness = np.ones(len(trajectory))
-    fairness[alive] = _jain(trajectory.rows[alive, :-1])
-
+    # the Jain index is scale-invariant, so the slot masses serve as
+    # conditional shares; a row with no slot mass left reads 1
+    fairness = _jain(trajectory.rows[:, :-1])
     expected = math.inf if params.r <= 0.0 else 1.0 / params.r
 
     return SchemeMetrics(survival, fairness, survival * fairness, expected)

@@ -449,8 +449,9 @@ def render_csv(document: dict) -> str:
     # floats print with 12 significant digits, anything else as str()
     rows = document["rows"]
     template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
-    lines = [",".join(document["columns"]), *(template % row for row in rows)]
-    return "\n".join(lines) + "\n"
+    # the closing "" ends the text with a newline in the one join, not a second copy
+    lines = [",".join(document["columns"]), *(template % row for row in rows), ""]
+    return "\n".join(lines)
 
 
 def render_json(document: dict) -> str:

@@ -282,13 +282,15 @@ def _sweep(
     walks; a walk longer than the budget is cut into time blocks, one walk
     per tile, and its slot and first hit carry from one block to the next.
 
-    A tile is reduced time-major.  Its moves (+1 advance, 0 stay, -1 retreat)
-    are copied transposed into a ``(quanta, walks)`` position table, the start
-    slot is added to the first row, and a running sum down the quanta gives
-    each walk's unwrapped position.  Every walk dead by the end of the tile
-    gets a jump larger than the ring table at its first deadlock column
-    (column 0 if it died in an earlier block), so one lookup in that table
-    maps positions mod ``m`` and every quantum from the first hit on to D.
+    A tile is reduced time-major.  Its moves (+1 advance, 0 stay, -1 retreat
+    or deadlock) are copied transposed into a ``(quanta, walks)`` position
+    table, the start slot is added to the first row, and a running sum down
+    the quanta gives each walk's unwrapped position.  Every walk with a known
+    first hit gets a jump larger than the ring table at column
+    ``max(first_hit - t0, 0)`` of the block from quantum ``t0``, so one lookup
+    in that table maps positions mod ``m`` and every quantum from the first
+    hit on to D.  No deadlock draw comes before a walk's first hit: draw 0
+    places the walk, and its move is 0.
 
     Every tile runs on the calling thread, one after another.  Tiling
     changes no draw a walk sees, so every budget gives the same arrays.
@@ -354,17 +356,15 @@ def _sweep(
             np.less(u, c1, out=adv)
             np.greater_equal(u, c2, out=bk)
             moves = adv.view(np.int8)
-            moves -= bk.view(np.int8)  # u >= c2 takes retreat and deadlock draws,
-            moves += dd.view(np.int8)  # so deadlock draws are added back
+            moves -= bk.view(np.int8)
             if t0 == 0:
                 moves[:, 0] = 0
-            hit_col[~alive] = 0
-            jumped = np.flatnonzero(new | ~alive)
+            jumped = np.flatnonzero(hits != CENSORED)
 
             pos = draws.view(np.int64)[:n].reshape(shape[::-1])
             pos[...] = moves.T
             pos[0] += slot + span
-            pos[hit_col[jumped], jumped] += jump
+            pos[np.maximum(hits[jumped] - t0, 0), jumped] += jump
             np.add.accumulate(pos, axis=0, out=pos)
             state = np.take(ring, pos, out=pos, mode="clip")
             slot = state[-1].copy()

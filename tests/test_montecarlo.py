@@ -468,17 +468,26 @@ def test_counts_rows_sum_to_walks(fifo_hazard_estimate):
 
 # The D column is the running total of first hits: a walk that left D would
 # leave it short, one counted in D before its first hit would push it over.
+# With retreat, the draws after a walk's first hit move it back; with a
+# budget of 64 draws, walks are cut into time blocks and one dead in a block
+# must stay in D in the next.
 @pytest.mark.parametrize(
-    "scheme, free, n_quanta, n_walks, seed",
+    "params, n_quanta, n_walks, seed, budget",
     [
-        (SchemeId.I_B, {"r": 0.25}, 40, 2000, 29),
-        (SchemeId.II_B, {"r": 0.3}, 30, 500, 17),
+        (make_preset(SchemeId.I_B, {"r": 0.25}, pb=PB5).params, 40, 2000, 29, None),
+        (make_preset(SchemeId.II_B, {"r": 0.3}, pb=PB5).params, 30, 500, 17, None),
+        (SchemeParams(0.4, 0.3, 0.2, 0.1, 5), 40, 2000, 23, None),
+        (SchemeParams(0.4, 0.3, 0.28, 0.02, 5), 200, 300, 11, 64),
     ],
-    ids=["I_B", "II_B"],
+    ids=["I_B", "II_B", "retreat", "time-blocks"],
 )
-def test_simulate_and_absorption_describe_the_same_walks(scheme, free, n_quanta, n_walks, seed):
-    preset = make_preset(scheme, free, pb=PB5)
-    config = SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks, seed=seed)
+def test_simulate_and_absorption_describe_the_same_walks(
+    monkeypatch, params, n_quanta, n_walks, seed, budget
+):
+    if budget is not None:
+        monkeypatch.setattr(mc, "_TILE_BUDGET", budget)
+    init = Distribution.from_process_probs(PB5)
+    config = SimConfig(params, init, n_quanta, n_walks, seed)
     estimate = simulate(config)
     sample = absorption_times(config)
     hit_counts = np.bincount(
