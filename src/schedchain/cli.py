@@ -37,7 +37,9 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .model import ModelError, ParameterError, _MOVES, build_matrix, propagate, state_labels
+from .model import (
+    ModelError, ParameterError, _MOVES, _alloc, build_matrix, propagate, state_labels
+)
 from .schemes import (
     CONSTRAINTS,
     ConstraintError,
@@ -345,7 +347,7 @@ def _exec_absorb(spec: RunSpec) -> dict:
     params, init, _ = _resolve(spec)
     config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
     # allocated before the sweep, so a horizon too large for it fails at once
-    histogram = np.zeros(spec.quanta + 1, dtype=np.int64)
+    histogram = _alloc(np.zeros, spec.quanta + 1, dtype=np.int64)
     sample = absorption_times(config)
     hits = np.bincount(sample.first_hit[sample.first_hit != CENSORED])
     histogram[: hits.size] = hits
@@ -399,29 +401,6 @@ _EXECUTORS = {
 }
 
 
-def _check_sizes(spec: RunSpec) -> None:
-    """Reject sizes whose arrays numpy cannot even index.
-
-    Every command holds a ``(quanta + 1) x (m + 1)`` table of 8-byte numbers,
-    and the Monte Carlo commands 8 bytes a walk.  numpy refuses an array of
-    more than ``sys.maxsize`` bytes with a ValueError, not a MemoryError.  Only
-    integer counts are sized; the engine that takes any other value refuses it.
-    """
-
-    def count(value, default: int) -> int:
-        return int(value) if isinstance(value, (int, np.integer)) else default
-
-    try:  # pb's length sizes the ring; the engine refuses any pb that has none
-        m = count(spec.m, len(spec.pb))
-    except TypeError:
-        m = count(spec.m, 0)
-    quanta = count(spec.quanta, 0)
-    if 8 * (quanta + 1) * (m + 1) > sys.maxsize:
-        raise MemoryError(f"a {quanta + 1} x {m + 1} table is too large to allocate")
-    if 8 * count(spec.walks, 0) > sys.maxsize:
-        raise MemoryError(f"{spec.walks} walks are too many to allocate")
-
-
 def _lookup(table: dict, key, what: str):
     try:
         return table[key]
@@ -440,7 +419,6 @@ def execute(spec: RunSpec) -> dict:
     _lookup(_RENDERERS, spec.fmt, "format")
     if spec.verify and spec.command != "run":
         raise ParameterError(f"only run has a --verify check, not {spec.command}")
-    _check_sizes(spec)
     table = executor(spec)  # first, so an engine refuses a bad value before meta reads it
     return {"meta": spec.to_meta(engine), **table}
 

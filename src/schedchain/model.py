@@ -93,6 +93,18 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
+def _alloc(make, *args, **kwargs) -> np.ndarray:
+    """``make(*args, **kwargs)`` for a numpy constructor whose first argument, a shape or
+    length, comes from a caller's count.  numpy refuses an array of more than ``sys.maxsize``
+    bytes with a ValueError, not the MemoryError it raises for a size it cannot allocate, so
+    that one is raised as MemoryError too; counts are checked first, so no other is left."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError:
+        shape = args[0] if isinstance(args[0], tuple) else (args[0],)
+        raise MemoryError(f"an array of shape {shape} is too large to allocate") from None
+
+
 def _frozen(values, dtype, name: str) -> np.ndarray:
     """``values`` as a read-only array of ``dtype``: ``float``, ``np.int64``, or ``int`` for
     integers of any size within the float range, as numpy holds them, under the module's two
@@ -359,7 +371,7 @@ def propagate(init: Distribution, params: SchemeParams, n: int) -> Trajectory:
     m = params.m
     if init.probs.size != m + 1:
         raise DimensionError(f"distribution has {init.probs.size} states but the chain has {m + 1}")
-    table = np.empty((n + 1, m + 1))
+    table = _alloc(np.empty, (n + 1, m + 1))
     table[0] = init.probs
     ring_mass = np.add.reduce(init.probs[:m])
     # with no mass on the ring any law will do: it is scaled by a ring mass of 0

@@ -33,6 +33,7 @@ from .model import (
     Distribution,
     ParameterError,
     SchemeParams,
+    _alloc,
     _check_int,
     _frozen,
 )
@@ -278,9 +279,11 @@ def _sweep(
     slot.
 
     Walks are swept in tiles of at most :data:`_TILE_BUDGET` draws with no
-    loop over quanta.  A tile holds ``_TILE_BUDGET // (n_quanta + 1)`` whole
-    walks; a walk longer than the budget is cut into time blocks, one walk
-    per tile, and its slot and first hit carry from one block to the next.
+    loop over quanta.  A time block spans the whole walk or the largest
+    multiple of 4 draws within the budget, where a Philox stream resumes,
+    whichever is shorter; a tile holds as many walks of one block as the
+    budget allows.  A walk longer than a block is swept one walk per tile,
+    and its slot and first hit carry from one block to the next.
 
     A tile is reduced time-major.  Its moves (+1 advance, 0 stay, -1 retreat
     or deadlock) are copied transposed into a ``(quanta, walks)`` position
@@ -303,15 +306,12 @@ def _sweep(
     cdf = np.cumsum(config.init.probs)
     cdf[-1] = 1.0  # guard against float shortfall; draws are in [0, 1)
 
-    counts = None if hits_only else np.zeros((n_cols, m + 1), dtype=np.int64)
-    first_hit = np.full(n_walks, CENSORED, dtype=np.int64)
+    counts = None if hits_only else _alloc(np.zeros, (n_cols, m + 1), dtype=np.int64)
+    first_hit = _alloc(np.full, n_walks, CENSORED, dtype=np.int64)
 
-    whole = n_cols <= _TILE_BUDGET
-    tile_walks = min(n_walks, _TILE_BUDGET // n_cols) if whole else 1
-    # A time block other than the last ends on a multiple of 4 draws, where
-    # a Philox stream resumes.  One bincount counts ``group`` quanta, so its
-    # output fits the budget too.
-    span = n_cols if whole else max(4, _TILE_BUDGET - _TILE_BUDGET % 4)
+    # One bincount counts ``group`` quanta, so its output fits the budget too.
+    span = min(n_cols, _TILE_BUDGET - _TILE_BUDGET % 4)
+    tile_walks = min(n_walks, _TILE_BUDGET // span)
     group = max(1, _TILE_BUDGET // (m + 1))
     offsets = np.arange(min(span, group))[:, None] * (m + 1)
     # A position is slot + span + the running sum of at most span moves, so

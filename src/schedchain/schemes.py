@@ -51,6 +51,7 @@ from .model import (
     SchemeParams,
     Trajectory,
     _MOVES,
+    _alloc,
     _check_int,
     _frozen,
     _is_real,
@@ -198,7 +199,7 @@ def make_preset(
             raise ParameterError(f"scheme {scheme.value} requires an initial pb vector")
         if m is None:
             raise ParameterError("scheme IV needs pb or m to size the ring")
-        unit = np.zeros(m)
+        unit = _alloc(np.zeros, m)
         unit[0] = 1.0
         pb = unit
     return SchemePreset(scheme, *_chain(values, pb, m))
@@ -321,6 +322,6 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:
     """All closed-form distributions for quanta ``0..n`` as a trajectory."""
     n = _check_int(n, "quanta", 0)
-    table = closed_form_table(preset.params, preset.init.processes, np.arange(n + 1))
+    table = closed_form_table(preset.params, preset.init.processes, _alloc(np.arange, n + 1))
     table.flags.writeable = False
     return Trajectory(table)

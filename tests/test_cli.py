@@ -232,8 +232,8 @@ def test_missing_pb_for_scheme_exits_2(capsys):
             ParameterError,
             "'NOPE'",
         ),
-        # a count that is not an integer is not sized but left to the engine
-        # that refuses it; a raw run refuses a float m as make_preset does
+        # a count that is not an integer is refused by the engine that takes
+        # it; a raw run refuses a float m as make_preset does
         (
             RunSpec(command="run", scheme="I_A", pb=(0.5, 0.5), quanta="5"),
             ParameterError,
@@ -674,6 +674,21 @@ def test_unallocatable_horizon_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("schedchain: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["run", "--scheme", "III_A", "--p", "0.7", "--s", "0.3", *_PB2],
+         3, "constraint violation: scheme III_A needs exactly p or s, got ['p', 's']"),
+        (["run", "--scheme", "III_A", "--p", "0.5", "--pb", "0.5,0.9"],
+         2, "error: state probabilities must sum to 1, got 1.4"),
+    ],
+    ids=["constraint", "pb"],
+)
+def test_values_are_checked_before_sizes(capsys, argv, code, err):
+    # a horizon no table can hold: the refused value is still the one reported
+    assert run_cli(capsys, *argv, "--quanta", str(10**20)) == (code, "", f"schedchain: {err}\n")
 
 
 def test_absorb_sizes_its_histogram_before_the_sweep(capsys, monkeypatch):

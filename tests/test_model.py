@@ -664,6 +664,32 @@ def test_counts_are_integers_not_whole_floats(call):
         call()
 
 
+def _walks(n_quanta, n_walks):
+    preset = make_preset(SchemeId.I_B, {"r": 0.166}, pb=(0.5, 0.5))
+    return montecarlo.SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks)
+
+
+# every size is beyond numpy's index range, so each call fails before touching memory
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: propagate(Distribution.from_process_probs([0.2, 0.3, 0.5]), _CHAIN3, 2**60),
+        lambda: schemes.closed_form_trajectory(
+            make_preset(SchemeId.III_A, {"p": 0.5}, pb=(0.5, 0.5)), 10**20
+        ),
+        lambda: montecarlo.simulate(_walks(3, 10**20)),
+        lambda: montecarlo.simulate(_walks(10**20, 1)),
+        lambda: montecarlo.absorption_times(_walks(3, 10**20)),
+        lambda: make_preset(SchemeId.IV, m=10**20),
+    ],
+    ids=["propagate", "closed-form", "simulate-walks", "simulate-quanta", "absorb-walks",
+         "iv-ring"],
+)
+def test_counts_numpy_cannot_index_raise_memory_error(call):
+    with pytest.raises(MemoryError, match=r"^an array of shape \(.*\) is too large to allocate$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # chain-wide properties
 

@@ -230,6 +230,13 @@ def test_chunk_size_does_not_change_results(monkeypatch):
         tiled = mc._sweep(config)
         assert np.array_equal(tiled[0], counts), budget
         assert np.array_equal(tiled[1], first_hit), budget
+    # 9 draws a walk within a budget of 10 that is not a multiple of 4: time
+    # blocks of 8 draws and 1 draw, one walk per tile
+    short = SimConfig.from_preset(preset, n_quanta=8, n_walks=200, seed=13)
+    whole = mc._sweep(short)
+    monkeypatch.setattr(mc, "_TILE_BUDGET", 10)
+    for name, a, b in zip(("counts", "first_hit"), mc._sweep(short), whole):
+        assert np.array_equal(a, b), name
     # the default budget against one tile of every walk: three tiles of whole
     # walks, then walks longer than the budget, cut into time blocks
     hazard = make_preset(SchemeId.III_B, {"p": 0.4, "r": 1e-4}, pb=PB5)
