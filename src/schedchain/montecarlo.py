@@ -6,9 +6,10 @@ or execution order.  Walk ``w`` consumes its draws in a fixed order: draw 0
 picks the initial state by inverse CDF over ``(P1..Pm, D)``, and draw ``t``
 decides quantum ``t`` by inverse CDF over the fixed category order
 (advance, stay, retreat, deadlock).  That category order is part of the
-external contract.  Absorbed walks keep drawing (and discarding), so a
-walk's path is a pure function of ``(seed, walk, params, init)`` and extends
-unchanged under a longer horizon.
+external contract.  :func:`simulate` draws every quantum of every walk,
+absorbed or not, and :func:`absorption_times` stops a tile at the time block
+that decides it.  Either way a walk's draws depend only on ``(seed, walk,
+params, init)``, so its path extends unchanged under a longer horizon.
 
 Walks are swept in tiles of at most ``_TILE_BUDGET`` draws, with no Python
 loop over quanta, so :func:`simulate` and :func:`absorption_times` need
@@ -260,15 +261,6 @@ def _state_rekey_works() -> bool:
         return False
 
 
-def _thresholds(params: SchemeParams) -> tuple[float, float, float]:
-    # Cumulative bounds of the category order (advance, stay, retreat, deadlock).
-    # With r == 0 the retreat bound is pinned to 1 so no draw can deadlock.
-    c1 = params.p
-    c2 = params.p + params.s
-    c3 = 1.0 if params.r == 0.0 else params.p + params.s + params.q
-    return c1, c2, c3
-
-
 def _sweep(
     config: SimConfig, hits_only: bool = False
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -276,7 +268,9 @@ def _sweep(
 
     With ``hits_only`` the walks' positions are never formed and ``counts``
     is None: a first hit depends only on the deadlock draws and the start
-    slot.
+    slot.  A tile then stops after the first time block at whose end every
+    walk in it has a first hit, or after block 0 when no later draw can
+    deadlock (``c3 >= 1``: ``r == 0``, or ``p + s + q`` rounds to 1).
 
     Walks are swept in tiles of at most :data:`_TILE_BUDGET` draws with no
     loop over quanta.  A time block spans the whole walk or the largest
@@ -295,13 +289,18 @@ def _sweep(
     hit on to D.  No deadlock draw comes before a walk's first hit: draw 0
     places the walk, and its move is 0.
 
-    Every tile runs on the calling thread, one after another.  Tiling
-    changes no draw a walk sees, so every budget gives the same arrays.
+    Every tile runs on the calling thread, one after another.  Neither
+    tiling nor the stop changes a draw a walk sees, so every budget gives
+    the same arrays.
     """
-    m = config.params.m
+    params = config.params
+    m = params.m
     n_walks = config.n_walks
     n_cols = config.n_quanta + 1
-    c1, c2, c3 = _thresholds(config.params)
+    # Cumulative bounds of the category order (advance, stay, retreat, deadlock).
+    # With r == 0 the retreat bound is pinned to 1 so no draw can deadlock.
+    c1, c2 = params.p, params.p + params.s
+    c3 = 1.0 if params.r == 0.0 else c2 + params.q
 
     cdf = np.cumsum(config.init.probs)
     cdf[-1] = 1.0  # guard against float shortfall; draws are in [0, 1)
@@ -325,13 +324,10 @@ def _sweep(
     streams = _WalkStreams(_state_rekey_works())
     size = tile_walks * span
     draws = np.empty(size)
-    dead = np.empty(size, dtype=bool)
-    if not hits_only:
-        advance, back = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    dead, advance, back = (np.empty(size, dtype=bool) for _ in range(3))
     for lo in range(0, n_walks, tile_walks):
         hi = min(lo + tile_walks, n_walks)
         hits = first_hit[lo:hi]
-        rows = np.arange(hi - lo)
         for t0 in range(0, n_cols, span):
             t1 = min(t0 + span, n_cols)
             shape = (hi - lo, t1 - t0)
@@ -345,11 +341,10 @@ def _sweep(
                 dd[:, 0] = slot == m
 
             # first hits: the first deadlock column of a walk still alive
-            hit_col = dd.argmax(axis=1)
-            alive = hits == CENSORED
-            new = alive & dd[rows, hit_col]
-            hits[new] = t0 + hit_col[new]
+            np.copyto(hits, t0 + dd.argmax(axis=1), where=(hits == CENSORED) & dd.any(axis=1))
             if hits_only:
+                if c3 >= 1.0 or CENSORED not in hits:
+                    break  # no later block can change a first hit of this tile
                 continue
 
             adv, bk = advance[:n].reshape(shape), back[:n].reshape(shape)
@@ -394,7 +389,10 @@ def absorption_times(config: SimConfig) -> AbsorptionSample:
 
     Shares the walk streams with :func:`simulate`, so both views of the same
     config describe the same set of walks.  With ``r == 0`` every walk is
-    censored.
+    censored.  A tile of walks stops drawing after the time block that
+    decides it: once every walk in it has hit D, or after block 0 when no
+    later draw can deadlock (``r == 0``, or ``p + s + q`` rounds to 1), so
+    walks that all hit early return early at any horizon.
     """
     _, first_hit = _sweep(config, hits_only=True)
     first_hit.flags.writeable = False

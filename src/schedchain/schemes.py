@@ -296,8 +296,7 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
             ahead = _forward_reach(support)
             behind = _forward_reach(support[::-1])[::-1]
             reach = ahead if q == 0.0 else behind if p == 0.0 else np.minimum(ahead, behind)
-            for i in np.flatnonzero(quanta < reach.max()):
-                proc[i, reach > quanta[i]] = 0.0
+            np.copyto(proc, 0.0, where=reach > quanta[:, None])
     return table
 
 

@@ -2,6 +2,8 @@
 
 import ctypes
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import types
@@ -251,6 +253,60 @@ def test_chunk_size_does_not_change_results(monkeypatch):
             assert np.array_equal(a, b), (config.n_walks, name)
 
 
+# A sweep that kept drawing time blocks to a horizon of 10**20 quanta would
+# never return, so these calls run in a child process that a timeout stops.
+_DECIDED_EARLY = """
+from schedchain import SchemeId, SimConfig, absorption_times, make_preset
+pb = (0.27, 0.15, 0.17, 0.18, 0.23)
+for scheme, free, n_walks, seed in [
+    (SchemeId.III_A, {"p": 0.5}, 1, 0),
+    (SchemeId.I_B, {"r": 0.5}, 5, 3),
+]:
+    preset = make_preset(scheme, free, pb=pb)
+    config = SimConfig.from_preset(preset, n_quanta=10**20, n_walks=n_walks, seed=seed)
+    print(*absorption_times(config).first_hit)
+"""
+
+
+def test_absorption_returns_at_any_horizon_once_decided():
+    child = subprocess.run(
+        [sys.executable, "-c", _DECIDED_EARLY], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    never, early = ([int(hit) for hit in line.split()] for line in child.stdout.splitlines())
+    assert never == [CENSORED]  # r == 0: decided by draw 0
+    assert len(early) == 5 and all(1 <= hit <= 10 for hit in early)
+
+
+def test_absorption_draws_no_block_after_the_one_that_decides_its_tile(monkeypatch):
+    mc._state_rekey_works()  # its one-off self-check fills draws of its own
+    fills = []
+    fill = mc._WalkStreams.fill
+
+    def recorded(self, seed, first_walk, out, first_draw):
+        fills.append((first_walk, first_draw))
+        fill(self, seed, first_walk, out, first_draw)
+
+    monkeypatch.setattr(mc._WalkStreams, "fill", recorded)
+    # 64-draw blocks: one walk per tile, each walk cut into time blocks
+    monkeypatch.setattr(mc, "_TILE_BUDGET", 64)
+    hazard = make_preset(SchemeId.I_B, {"r": 0.02}, pb=PB5)
+    hits = absorption_times(SimConfig.from_preset(hazard, n_quanta=1000, n_walks=20, seed=5))
+    assert hits.n_censored == 0 and hits.first_hit.max() >= 64
+    hit_at = hits.first_hit.tolist()
+    assert fills == [(w, t0) for w, hit in enumerate(hit_at) for t0 in range(0, hit + 1, 64)]
+    # no draw after draw 0 can deadlock: r == 0, with start mass in D, and a
+    # hazard that p + s + q rounds away
+    for params, init in [
+        (SchemeParams(0.5, 0.5, 0.0, 0.0, 3), Distribution(np.array([0.3, 0.3, 0.0, 0.4]))),
+        (make_preset(SchemeId.III_B, {"p": 0.5, "r": 1e-20}, pb=PB5).params,
+         Distribution.from_process_probs(PB5)),
+    ]:
+        fills.clear()
+        absorption_times(SimConfig(params, init, n_quanta=1000, n_walks=20, seed=5))
+        assert fills == [(w, 0) for w in range(20)]
+
+
 def test_sweep_starts_no_thread(monkeypatch):
     # two free CPUs and tiles of 1500 quanta: every tile still runs on the
     # calling thread
@@ -485,8 +541,10 @@ def test_counts_rows_sum_to_walks(fifo_hazard_estimate):
         (make_preset(SchemeId.II_B, {"r": 0.3}, pb=PB5).params, 30, 500, 17, None),
         (SchemeParams(0.4, 0.3, 0.2, 0.1, 5), 40, 2000, 23, None),
         (SchemeParams(0.4, 0.3, 0.28, 0.02, 5), 200, 300, 11, 64),
+        (SchemeParams(0.5, 0.25, 0.25, 0.0, 5), 300, 40, 19, 64),
+        (make_preset(SchemeId.III_B, {"p": 0.5, "r": 1e-20}, pb=PB5).params, 200, 40, 7, 64),
     ],
-    ids=["I_B", "II_B", "retreat", "time-blocks"],
+    ids=["I_B", "II_B", "retreat", "time-blocks", "deadlock-free", "rounded-hazard"],
 )
 def test_simulate_and_absorption_describe_the_same_walks(
     monkeypatch, params, n_quanta, n_walks, seed, budget
