@@ -105,6 +105,15 @@ def _alloc(make, *args, **kwargs) -> np.ndarray:
         raise MemoryError(f"an array of shape {shape} is too large to allocate") from None
 
 
+#: Cells one engine step holds: a propagation block's kernels plus windows, a
+#: Monte Carlo tile's draws, one bincount's counts.  ``montecarlo`` imports it.
+_TILE_BUDGET = 1 << 16
+
+#: Uniforms one Monte Carlo call may draw, about 7 minutes of Philox fill at
+#: 6 ns a draw; ``montecarlo`` refuses a call that plans more.
+_DRAW_BUDGET = 2**36
+
+
 def _frozen(values, dtype, name: str) -> np.ndarray:
     """``values`` as a read-only array of ``dtype``: ``float``, ``np.int64``, or ``int`` for
     integers of any size within the float range, as numpy holds them, under the module's two
@@ -288,17 +297,14 @@ def build_matrix(params: SchemeParams) -> SchemeParams:
     return params
 
 
-#: Cells of kernels plus windows one propagation block may span.  A block's
-#: product costs ``m·width`` per row against ``3m`` for a single stencil step,
-#: so wide rings step fewer quanta per block, down to one.
-_BLOCK_BUDGET = 2**16
-
-
 def _block_quanta(n: int, m: int) -> int:
     """Quanta per block: about ``sqrt(n)``, so building the kernels (one stencil
-    step per quantum of a block) costs about as much as stepping the blocks."""
+    step per quantum of a block) costs about as much as stepping the blocks.  The
+    block's kernels plus windows span at most :data:`_TILE_BUDGET` cells: its
+    product costs ``m·width`` per row against ``3m`` for a single stencil step,
+    so wide rings step fewer quanta per block, down to one."""
     b = max(math.isqrt(n), 1)
-    while b > 1 and (b + m) * min(2 * b + 1, m) > _BLOCK_BUDGET:
+    while b > 1 and (b + m) * min(2 * b + 1, m) > _TILE_BUDGET:
         b //= 2
     return b
 

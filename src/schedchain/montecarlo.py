@@ -18,13 +18,16 @@ so a walk longer than one tile resumes its stream where the previous time
 block ended and sees exactly the draws it would see in one piece (Salmon et
 al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Every tile is
 swept on the calling thread: on a 2-vCPU host a helper thread sharing long
-tiles made no command-line call faster.
+tiles made no command-line call faster.  Since a tile's draws follow from its
+config alone, a sweep counts them before it makes any, and refuses with
+:class:`ParameterError` a call that plans more than ``_DRAW_BUDGET``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,8 @@ from .model import (
     Distribution,
     ParameterError,
     SchemeParams,
+    _DRAW_BUDGET,
+    _TILE_BUDGET,
     _alloc,
     _check_int,
     _frozen,
@@ -54,11 +59,6 @@ CENSORED = -1
 
 #: Censored fraction above which the empirical mean is flagged as biased low.
 CENSOR_WARN_FRACTION = 1e-3
-
-#: Draws held in memory at once by the sweep: a tile of walks x quanta holds
-#: at most this many, and one bincount into ``counts`` covers at most this
-#: many cells.  Any value of at least 4 yields identical results.
-_TILE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +261,49 @@ def _state_rekey_works() -> bool:
         return False
 
 
+def _tiles(n_walks: int, n_cols: int, m: int) -> tuple[int, int, int]:
+    """The sweep's tile rule: ``(span, tile_walks, group)`` for walks of ``n_cols`` draws.
+
+    A time block spans the whole walk or the largest multiple of 4 draws within
+    :data:`_TILE_BUDGET`, where a Philox stream resumes, whichever is shorter; a
+    tile holds as many walks of one block as the budget allows, and one bincount
+    counts ``group`` quanta of ``m + 1`` cells, so its output fits the budget too.
+    Any budget of at least 4 yields identical results.
+    """
+    span = min(n_cols, _TILE_BUDGET - _TILE_BUDGET % 4)
+    return span, min(n_walks, _TILE_BUDGET // span), max(1, _TILE_BUDGET // (m + 1))
+
+
+def _planned_draws(config: SimConfig, c3: float, hits_only: bool) -> int:
+    """Uniforms the sweep of ``config`` will draw, counted from the config alone.
+
+    Without ``hits_only`` every walk draws every quantum.  With it, a tile of
+    ``k`` walks draws block 0 alone when no later draw can deadlock
+    (``c3 >= 1``) or every walk starts in D, and otherwise the blocks up to
+    quantum ``T``, capped at the horizon: ``T = 1`` when every draw deadlocks
+    (``c3 = 0``), else ``ceil(log(1e-9 / (k·a)) / log(c3))`` for start ring
+    mass ``a``, the quantum past which a walk of the tile is still undecided
+    with probability at most 1e-9 (the first-hit law is geometric).
+    """
+    n_walks, n_cols = config.n_walks, config.n_quanta + 1
+    if not hits_only:
+        return n_walks * n_cols
+    span, tile_walks, _ = _tiles(n_walks, n_cols, config.params.m)
+    alive = 1.0 - config.init.deadlock
+
+    def tile_draws(k: int) -> int:
+        if c3 >= 1.0 or alive <= 0.0:
+            last = 0
+        elif c3 <= 0.0:
+            last = 1
+        else:
+            last = max(0, math.ceil(math.log(1e-9 / (k * alive)) / math.log(c3)))
+        return k * min(n_cols, (min(last, n_cols - 1) // span + 1) * span)
+
+    full, rest = divmod(n_walks, tile_walks)
+    return full * tile_draws(tile_walks) + (tile_draws(rest) if rest else 0)
+
+
 def _sweep(
     config: SimConfig, hits_only: bool = False
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -272,12 +315,12 @@ def _sweep(
     walk in it has a first hit, or after block 0 when no later draw can
     deadlock (``c3 >= 1``: ``r == 0``, or ``p + s + q`` rounds to 1).
 
-    Walks are swept in tiles of at most :data:`_TILE_BUDGET` draws with no
-    loop over quanta.  A time block spans the whole walk or the largest
-    multiple of 4 draws within the budget, where a Philox stream resumes,
-    whichever is shorter; a tile holds as many walks of one block as the
-    budget allows.  A walk longer than a block is swept one walk per tile,
-    and its slot and first hit carry from one block to the next.
+    Walks are swept in the tiles of :func:`_tiles` with no loop over quanta.
+    A walk longer than a block is swept one walk per tile, and its slot and
+    first hit carry from one block to the next.  The outputs are made first,
+    untouched, so a size numpy cannot index raises ``MemoryError``; then a
+    call that plans more than :data:`_DRAW_BUDGET` draws
+    (:func:`_planned_draws`) raises :class:`ParameterError` before any draw.
 
     A tile is reduced time-major.  Its moves (+1 advance, 0 stay, -1 retreat
     or deadlock) are copied transposed into a ``(quanta, walks)`` position
@@ -306,12 +349,16 @@ def _sweep(
     cdf[-1] = 1.0  # guard against float shortfall; draws are in [0, 1)
 
     counts = None if hits_only else _alloc(np.zeros, (n_cols, m + 1), dtype=np.int64)
-    first_hit = _alloc(np.full, n_walks, CENSORED, dtype=np.int64)
+    first_hit = _alloc(np.empty, n_walks, dtype=np.int64)
+    draws_needed = _planned_draws(config, c3, hits_only)
+    if draws_needed > _DRAW_BUDGET:
+        raise ParameterError(
+            f"a sweep of {draws_needed} draws is too large to run, past the budget of "
+            f"{_DRAW_BUDGET}"
+        )
+    first_hit.fill(CENSORED)
 
-    # One bincount counts ``group`` quanta, so its output fits the budget too.
-    span = min(n_cols, _TILE_BUDGET - _TILE_BUDGET % 4)
-    tile_walks = min(n_walks, _TILE_BUDGET // span)
-    group = max(1, _TILE_BUDGET // (m + 1))
+    span, tile_walks, group = _tiles(n_walks, n_cols, m)
     offsets = np.arange(min(span, group))[:, None] * (m + 1)
     # A position is slot + span + the running sum of at most span moves, so
     # it lies in [0, 2 span + m); the ring maps it to (position - span) mod m,

@@ -278,23 +278,31 @@ def test_absorption_returns_at_any_horizon_once_decided():
     assert len(early) == 5 and all(1 <= hit <= 10 for hit in early)
 
 
-def test_absorption_draws_no_block_after_the_one_that_decides_its_tile(monkeypatch):
+def _record_fills(monkeypatch):
+    """Record ``(first_walk, first_draw, draws)`` of each fill, and make the draws."""
     mc._state_rekey_works()  # its one-off self-check fills draws of its own
     fills = []
     fill = mc._WalkStreams.fill
 
     def recorded(self, seed, first_walk, out, first_draw):
-        fills.append((first_walk, first_draw))
+        fills.append((first_walk, first_draw, out.size))
         fill(self, seed, first_walk, out, first_draw)
 
     monkeypatch.setattr(mc._WalkStreams, "fill", recorded)
+    return fills
+
+
+def test_absorption_draws_no_block_after_the_one_that_decides_its_tile(monkeypatch):
+    fills = _record_fills(monkeypatch)
     # 64-draw blocks: one walk per tile, each walk cut into time blocks
     monkeypatch.setattr(mc, "_TILE_BUDGET", 64)
     hazard = make_preset(SchemeId.I_B, {"r": 0.02}, pb=PB5)
     hits = absorption_times(SimConfig.from_preset(hazard, n_quanta=1000, n_walks=20, seed=5))
     assert hits.n_censored == 0 and hits.first_hit.max() >= 64
     hit_at = hits.first_hit.tolist()
-    assert fills == [(w, t0) for w, hit in enumerate(hit_at) for t0 in range(0, hit + 1, 64)]
+    assert [fill[:2] for fill in fills] == [
+        (w, t0) for w, hit in enumerate(hit_at) for t0 in range(0, hit + 1, 64)
+    ]
     # no draw after draw 0 can deadlock: r == 0, with start mass in D, and a
     # hazard that p + s + q rounds away
     for params, init in [
@@ -304,7 +312,77 @@ def test_absorption_draws_no_block_after_the_one_that_decides_its_tile(monkeypat
     ]:
         fills.clear()
         absorption_times(SimConfig(params, init, n_quanta=1000, n_walks=20, seed=5))
-        assert fills == [(w, 0) for w in range(20)]
+        assert [fill[:2] for fill in fills] == [(w, 0) for w in range(20)]
+
+
+# Calls that would draw for hours: each must be refused before its first draw.
+# They run in a child process that a timeout stops, in case one is not.
+_PAST_THE_DRAW_BUDGET = """
+from schedchain import ParameterError, SimConfig, absorption_times, make_preset, simulate
+for run, scheme, free, n_quanta, n_walks in [
+    # a first hit some 1e12 quanta away: about 2.1e13 draws planned
+    (absorption_times, "III_B", {"p": 0.5, "r": 1e-12}, 10**20, 1),
+    # 1e12 draws, though its outputs fit in about 1 GB
+    (simulate, "I_B", {"r": 0.1}, 10**4, 10**8),
+]:
+    preset = make_preset(scheme, free, pb=(0.5, 0.5))
+    try:
+        run(SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks))
+    except ParameterError as exc:
+        print(exc)
+"""
+
+
+def test_draw_budget_refuses_calls_no_host_finishes():
+    child = subprocess.run(
+        [sys.executable, "-c", _PAST_THE_DRAW_BUDGET], capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    budget = mc._DRAW_BUDGET
+    assert child.stdout.splitlines() == [
+        f"a sweep of {draws} draws is too large to run, past the budget of {budget}"
+        for draws in (20723724320768, 10**8 * (10**4 + 1))
+    ]
+
+
+# (run, params, init, n_quanta, n_walks, tile budget, planned draws)
+_PLANS = [
+    # every quantum of every walk
+    (simulate, SchemeParams(0.4, 0.3, 0.2, 0.1, 3), None, 9, 10, None, 10 * 10),
+    # I_B with r = 0.02 at 64-draw blocks, one walk a tile: T = ceil(log(1e-9) /
+    # log(0.98)) = 1026 lies in block 16, so each walk plans 17 blocks
+    (absorption_times, SchemeParams(0.0, 0.98, 0.0, 0.02, 3), None, 5000, 3, 64, 3 * 17 * 64),
+    # the same capped at a horizon of 1000 quanta: every draw
+    (absorption_times, SchemeParams(0.0, 0.98, 0.0, 0.02, 3), None, 1000, 3, 64, 3 * 1001),
+    # block 0 of 201 draws: no later draw deadlocks (r == 0), every draw does
+    # (r == 1), or every walk starts in D
+    (absorption_times, SchemeParams(0.5, 0.5, 0.0, 0.0, 3), None, 200, 7, None, 7 * 201),
+    (absorption_times, SchemeParams(0.0, 0.0, 0.0, 1.0, 3), None, 200, 7, None, 7 * 201),
+    (absorption_times, SchemeParams(0.0, 0.98, 0.0, 0.02, 3), [0.0, 0.0, 0.0, 1.0], 200, 7,
+     None, 7 * 201),
+]
+
+
+@pytest.mark.parametrize(
+    "run, params, init, n_quanta, n_walks, budget, planned",
+    _PLANS,
+    ids=["simulate", "absorb-blocks", "absorb-horizon", "absorb-r0", "absorb-r1", "absorb-in-D"],
+)
+def test_draw_budget_admits_exactly_the_planned_draws(
+    monkeypatch, run, params, init, n_quanta, n_walks, budget, planned
+):
+    if budget is not None:
+        monkeypatch.setattr(mc, "_TILE_BUDGET", budget)
+    init = Distribution([1 / 3, 1 / 3, 1 / 3, 0.0] if init is None else init)
+    config = SimConfig(params, init, n_quanta, n_walks, seed=5)
+    fills = _record_fills(monkeypatch)
+    monkeypatch.setattr(mc, "_DRAW_BUDGET", planned - 1)
+    with pytest.raises(ParameterError, match=f"^a sweep of {planned} draws .* {planned - 1}$"):
+        run(config)
+    assert fills == []  # refused before the first draw
+    monkeypatch.setattr(mc, "_DRAW_BUDGET", planned)
+    run(config)
+    assert 0 < sum(draws for _, _, draws in fills) <= planned
 
 
 def test_sweep_starts_no_thread(monkeypatch):
