@@ -112,8 +112,7 @@ def metrics(trajectory: Trajectory, params: SchemeParams) -> SchemeMetrics:
     The expected absorption time is ``1/params.r``, infinite for ``r == 0``:
     the per-quantum deadlock hazard does not depend on the occupied slot.
     """
-    if params.m != trajectory.m:
-        raise DimensionError(f"trajectory has m={trajectory.m} but params have m={params.m}")
+    params._same_ring(trajectory.m, "trajectory")
     survival = trajectory.survival()
     # the Jain index is scale-invariant, so the slot masses serve as
     # conditional shares; a row with no slot mass left reads 1

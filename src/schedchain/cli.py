@@ -37,9 +37,7 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .model import (
-    ModelError, ParameterError, _MOVES, _alloc, build_matrix, propagate, state_labels
-)
+from .model import ModelError, ParameterError, _MOVES, _alloc, build_matrix, propagate
 from .schemes import (
     CONSTRAINTS,
     ConstraintError,
@@ -288,24 +286,25 @@ def parse_args(argv=None) -> RunSpec:
 
 
 def _resolve(spec: RunSpec):
-    """RunSpec -> (params, init, preset or None)."""
+    """RunSpec -> (params, init): the spec's preset chain, or its raw moves."""
     if spec.scheme is not None:
         preset = make_preset(spec.scheme, spec.free, pb=spec.pb, m=spec.m)
-        return preset.params, preset.init, preset
+        return preset.params, preset.init
     if spec.pb is None:
         raise ParameterError("raw-parameter runs need --pb")
     if unknown := [name for name in spec.free if name not in _MOVES]:
         raise ParameterError(f"unknown move probability {unknown[0]!r}")
-    return *_chain(spec.free, spec.pb, spec.m), None
+    return _chain(spec.free, spec.pb, spec.m)
 
 
 def _trajectory(table: np.ndarray, **extra) -> dict:
+    slots = [f"P{i}" for i in range(1, table.shape[1])]
     rows = list(zip(range(len(table)), *table.T.tolist()))
-    return {"columns": ["quantum"] + state_labels(table.shape[1] - 1), "rows": rows, **extra}
+    return {"columns": ["quantum", *slots, "D"], "rows": rows, **extra}
 
 
 def _exec_run(spec: RunSpec) -> dict:
-    params, init, _ = _resolve(spec)
+    params, init = _resolve(spec)
     table = propagate(init, build_matrix(params), spec.quanta).to_array()
     if spec.verify:
         analytic = closed_form_table(params, init.processes, np.arange(spec.quanta + 1))
@@ -329,14 +328,14 @@ def _exec_run(spec: RunSpec) -> dict:
 def _exec_closed_form(spec: RunSpec) -> dict:
     if spec.scheme is None:
         raise ParameterError("closed-form needs a scheme")
-    _, _, preset = _resolve(spec)
+    preset = make_preset(spec.scheme, spec.free, pb=spec.pb, m=spec.m)
     return _trajectory(closed_form_trajectory(preset, spec.quanta).to_array())
 
 
 def _exec_simulate(spec: RunSpec) -> dict:
     from .montecarlo import SimConfig
 
-    params, init, _ = _resolve(spec)
+    params, init = _resolve(spec)
     estimate = simulate(SimConfig(params, init, spec.quanta, spec.walks, spec.seed))
     return _trajectory(estimate.frequencies, n_walks=estimate.n_walks)
 
@@ -344,7 +343,7 @@ def _exec_simulate(spec: RunSpec) -> dict:
 def _exec_absorb(spec: RunSpec) -> dict:
     from .montecarlo import CENSORED, SimConfig
 
-    params, init, _ = _resolve(spec)
+    params, init = _resolve(spec)
     config = SimConfig(params, init, spec.quanta, spec.walks, spec.seed)
     # allocated before the sweep, so a horizon too large for it fails at once
     histogram = _alloc(np.zeros, spec.quanta + 1, dtype=np.int64)

@@ -44,7 +44,6 @@ __all__ = [
     "SchemeParams",
     "Distribution",
     "Trajectory",
-    "state_labels",
     "build_matrix",
     "propagate",
 ]
@@ -70,13 +69,6 @@ class ParameterError(ModelError):
 
 class DimensionError(ModelError):
     """Vector/matrix sizes do not agree."""
-
-
-def state_labels(m: int) -> list[str]:
-    """Column labels ``P1..Pm, D`` for vectors and matrices of this chain."""
-    if m < 2:
-        raise ParameterError(f"ring needs at least 2 slots, got m={m}")
-    return [f"P{i}" for i in range(1, m + 1)] + ["D"]
 
 
 def _is_real(value, kind=numbers.Real) -> bool:
@@ -209,6 +201,11 @@ class SchemeParams:
         probs = _stochastic(list(given.values()), "move probabilities (p, s, q, r)", 1)
         for name, value in zip(given, probs):
             object.__setattr__(self, name, float(value))
+
+    def _same_ring(self, m: int, what: str) -> None:
+        """The one ring-size rule: a start law or table read with this chain has its ``m``."""
+        if m != self.m:
+            raise DimensionError(f"{what} has m={m} but the chain has m={self.m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,9 +371,8 @@ def propagate(init: Distribution, params: SchemeParams, n: int) -> Trajectory:
     if not isinstance(params, SchemeParams):
         raise TypeError(f"propagate takes SchemeParams, got {type(params).__name__}")
     n = _check_int(n, "quanta", 0)
+    params._same_ring(init.m, "distribution")
     m = params.m
-    if init.probs.size != m + 1:
-        raise DimensionError(f"distribution has {init.probs.size} states but the chain has {m + 1}")
     table = _alloc(np.empty, (n + 1, m + 1))
     table[0] = init.probs
     ring_mass = np.add.reduce(init.probs[:m])

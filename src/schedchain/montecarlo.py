@@ -78,10 +78,7 @@ class SimConfig:
         if seed >= 2 ** 64:
             raise ParameterError("seed must fit in 64 bits")
         object.__setattr__(self, "seed", seed)
-        if self.init.m != self.params.m:
-            raise DimensionError(
-                f"initial distribution has m={self.init.m} but params have m={self.params.m}"
-            )
+        self.params._same_ring(self.init.m, "initial distribution")
 
     @classmethod
     def from_preset(

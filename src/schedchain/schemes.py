@@ -131,10 +131,7 @@ class SchemePreset:
                     f"scheme {self.scheme.value} pins {name}={value}, "
                     f"got {getattr(self.params, name)!r}"
                 )
-        if self.params.m != self.init.m:
-            raise DimensionError(
-                f"params describe m={self.params.m} slots but pb has {self.init.m}"
-            )
+        self.params._same_ring(self.init.m, "pb")
         if self.init.deadlock > ATOL:
             raise ConstraintError("presets start with zero deadlock mass")
         if self.scheme is SchemeId.IV and not _is_unit_on_first(self.init.processes):

@@ -648,6 +648,29 @@ def test_verify_catches_an_engine_that_drops_light_rows(capsys, monkeypatch, arg
     assert "diverge" in err
 
 
+def test_verify_statistic_sits_far_below_its_tolerance(monkeypatch):
+    # on seeded random chains run --verify's statistic peaked at 11.3 ε of a row's
+    # mass (300 chains), so every chain passes at 128 ε, while an engine whose
+    # slot mass is off by 1e-12 of it fails here and still passes VERIFY_TOL
+    eps = np.finfo(float).eps
+    monkeypatch.setattr(cli, "VERIFY_TOL", 128 * eps)
+    rng = np.random.default_rng(20261020)
+    for k in range(200):
+        m, n = int(rng.integers(2, 65)), int(rng.integers(1, 2001))
+        # a fifth of the chains at a small hazard, a third with no retreat
+        r = float(10 ** rng.uniform(-8, -1)) if k % 5 == 0 else float(rng.uniform(0.0, 0.5))
+        moves = rng.dirichlet(np.ones(2 if k % 3 == 0 else 3)) * (1.0 - r)
+        p, s, q = map(float, (*moves, 0.0) if k % 3 == 0 else moves)
+        # half the starts skewed onto a few slots
+        pb = rng.dirichlet(np.full(m, 0.1 if k % 2 else 1.0))
+        spec = RunSpec("run", free={"p": p, "s": s, "q": q, "r": r},
+                       pb=tuple(pb.tolist()), quanta=n, verify=True)
+        try:
+            execute(spec)
+        except cli.EngineDivergence as exc:
+            pytest.fail(f"{spec}: {exc}")
+
+
 _PB2 = ["--pb", "0.5,0.5"]
 
 

@@ -25,7 +25,6 @@ from schedchain import (
     make_preset,
     metrics,
     propagate,
-    state_labels,
 )
 from schedchain.cli import VERIFY_TOL, RunSpec, execute
 
@@ -53,13 +52,7 @@ def chain_case(draw, m_max=10):
 
 
 # ---------------------------------------------------------------------------
-# parameters and state labels
-
-
-def test_state_labels():
-    assert state_labels(3) == ["P1", "P2", "P3", "D"]
-    with pytest.raises(ParameterError):
-        state_labels(1)
+# parameters
 
 
 @pytest.mark.parametrize(
