@@ -17,8 +17,8 @@ version, and ``compare``'s presets) that can be fed back through
 destination is not part of ``meta``.
 
 Exit codes: 0 success, 1 engine cross-check divergence (``--verify``),
-2 usage error (text that does not parse, a value an engine refuses, or a
-horizon, ring or walk count too large to allocate),
+2 usage error (text that does not parse, a value an engine refuses, an
+engine array past the byte budget, or a sweep past the draw budget),
 3 scheme constraint violation, 4 output I/O failure (standard output is
 flushed before exit code 4 is decided).
 

@@ -85,18 +85,6 @@ def _check_int(value, name: str, minimum: int) -> int:
     return value
 
 
-def _alloc(make, *args, **kwargs) -> np.ndarray:
-    """``make(*args, **kwargs)`` for a numpy constructor whose first argument, a shape or
-    length, comes from a caller's count.  numpy refuses an array of more than ``sys.maxsize``
-    bytes with a ValueError, not the MemoryError it raises for a size it cannot allocate, so
-    that one is raised as MemoryError too; counts are checked first, so no other is left."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError:
-        shape = args[0] if isinstance(args[0], tuple) else (args[0],)
-        raise MemoryError(f"an array of shape {shape} is too large to allocate") from None
-
-
 #: Cells one engine step holds: a propagation block's kernels plus windows, a
 #: Monte Carlo tile's draws, one bincount's counts.  ``montecarlo`` imports it.
 _TILE_BUDGET = 1 << 16
@@ -104,6 +92,20 @@ _TILE_BUDGET = 1 << 16
 #: Uniforms one Monte Carlo call may draw, about 7 minutes of Philox fill at
 #: 6 ns a draw; ``montecarlo`` refuses a call that plans more.
 _DRAW_BUDGET = 2**36
+
+#: Bytes :func:`_alloc` lets one engine array take, far below what numpy cannot index.
+_BYTE_BUDGET = 2**32
+
+
+def _alloc(make, shape, *args, dtype=float) -> np.ndarray:
+    """``make(shape, *args, dtype=dtype)``, unless its bytes are past :data:`_BYTE_BUDGET`."""
+    dims = shape if isinstance(shape, tuple) else (shape,)
+    nbytes = math.prod(dims) * np.dtype(dtype).itemsize
+    if nbytes > _BYTE_BUDGET:
+        raise MemoryError(
+            f"an array of shape {dims} needs {nbytes} bytes, past the budget of {_BYTE_BUDGET}"
+        )
+    return make(shape, *args, dtype=dtype)
 
 
 def _frozen(values, dtype, name: str) -> np.ndarray:

@@ -19,8 +19,8 @@ block ended and sees exactly the draws it would see in one piece (Salmon et
 al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  Every tile is
 swept on the calling thread: on a 2-vCPU host a helper thread sharing long
 tiles made no command-line call faster.  Since a tile's draws follow from its
-config alone, a sweep counts them before it makes any, and refuses with
-:class:`ParameterError` a call that plans more than ``_DRAW_BUDGET``.
+config alone, a sweep counts them before it allocates or draws, and refuses
+with :class:`ParameterError` a call that plans more than ``_DRAW_BUDGET``.
 """
 
 from __future__ import annotations
@@ -314,10 +314,9 @@ def _sweep(
 
     Walks are swept in the tiles of :func:`_tiles` with no loop over quanta.
     A walk longer than a block is swept one walk per tile, and its slot and
-    first hit carry from one block to the next.  The outputs are made first,
-    untouched, so a size numpy cannot index raises ``MemoryError``; then a
-    call that plans more than :data:`_DRAW_BUDGET` draws
-    (:func:`_planned_draws`) raises :class:`ParameterError` before any draw.
+    first hit carry from one block to the next.  A call that plans more than
+    :data:`_DRAW_BUDGET` draws (:func:`_planned_draws`) raises
+    :class:`ParameterError` before its outputs are made.
 
     A tile is reduced time-major.  Its moves (+1 advance, 0 stay, -1 retreat
     or deadlock) are copied transposed into a ``(quanta, walks)`` position
@@ -345,15 +344,13 @@ def _sweep(
     cdf = np.cumsum(config.init.probs)
     cdf[-1] = 1.0  # guard against float shortfall; draws are in [0, 1)
 
-    counts = None if hits_only else _alloc(np.zeros, (n_cols, m + 1), dtype=np.int64)
-    first_hit = _alloc(np.empty, n_walks, dtype=np.int64)
-    draws_needed = _planned_draws(config, c3, hits_only)
-    if draws_needed > _DRAW_BUDGET:
+    planned = _planned_draws(config, c3, hits_only)
+    if planned > _DRAW_BUDGET:
         raise ParameterError(
-            f"a sweep of {draws_needed} draws is too large to run, past the budget of "
-            f"{_DRAW_BUDGET}"
+            f"a sweep of {planned} draws is too large to run, past the budget of {_DRAW_BUDGET}"
         )
-    first_hit.fill(CENSORED)
+    counts = None if hits_only else _alloc(np.zeros, (n_cols, m + 1), dtype=np.int64)
+    first_hit = _alloc(np.full, n_walks, CENSORED, dtype=np.int64)
 
     span, tile_walks, group = _tiles(n_walks, n_cols, m)
     offsets = np.arange(min(span, group))[:, None] * (m + 1)

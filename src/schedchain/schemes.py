@@ -258,13 +258,13 @@ def closed_form_table(params: SchemeParams, pb, ns) -> np.ndarray:
         raise DimensionError("quantum counts must be one-dimensional")
     if np.minimum.reduce(counts, initial=0) < 0:
         raise ParameterError(f"quantum counts must be >= 0, got {counts.min()}")
-    quanta = counts.astype(float)  # exact below 2**53; rotations use the integers
     p, s, q, r = params.p, params.s, params.q, params.r
     m = params.m
     pb = _frozen(pb, float, "pb")
     if pb.shape != (m,):
         raise DimensionError(f"pb must hold m={m} slot masses, got shape {pb.shape}")
-    table = np.empty((quanta.size, m + 1))
+    table = _alloc(np.empty, (counts.size, m + 1))
+    quanta = counts.astype(float)  # exact below 2**53; rotations use the integers
     proc = table[:, :m]
     alive, table[:, m] = _survival(r, quanta)
     if (p > 0.0) + (s > 0.0) + (q > 0.0) <= 1:
@@ -318,6 +318,7 @@ def closed_form(preset: SchemePreset, n: int) -> Distribution:
 def closed_form_trajectory(preset: SchemePreset, n: int) -> Trajectory:
     """All closed-form distributions for quanta ``0..n`` as a trajectory."""
     n = _check_int(n, "quanta", 0)
-    table = closed_form_table(preset.params, preset.init.processes, _alloc(np.arange, n + 1))
+    ns = _alloc(np.arange, n + 1, dtype=np.int64)
+    table = closed_form_table(preset.params, preset.init.processes, ns)
     table.flags.writeable = False
     return Trajectory(table)

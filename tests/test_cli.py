@@ -728,6 +728,26 @@ def test_absorb_sizes_its_histogram_before_the_sweep(capsys, monkeypatch):
     assert err.startswith("schedchain: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["run", "--scheme", "III_A", "--p", "0.5", *_PB2, "--quanta", str(10**9)],
+         "an array of shape (1000000001, 3) needs 24000000024 bytes, "
+         "past the budget of 4294967296"),
+        (["simulate", "--scheme", "I_B", "--r", "0.1", *_PB2, "--quanta", str(10**4),
+          "--walks", str(10**8)],
+         "a sweep of 1000100000000 draws is too large to run, past the budget of 68719476736"),
+    ],
+    ids=["bytes", "draws"],
+)
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+def test_budget_refusal_writes_nothing(capsys, tmp_path, argv, err, to_file):
+    target = tmp_path / "out.csv"
+    output = ["-o", str(target)] if to_file else []
+    assert run_cli(capsys, *argv, *output) == (2, "", f"schedchain: error: {err}\n")
+    assert not target.exists()
+
+
 def test_wide_ring_run_stays_in_bounded_memory(tmp_path):
     # The dense (m + 1)² matrix of this ring would take 80 GB.  The child's
     # address space is capped at 2 GB, so any attempt fails whatever the

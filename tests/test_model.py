@@ -1,5 +1,6 @@
 """Tests for the core chain types and the exact propagation engine."""
 
+import math
 import subprocess
 import sys
 import time
@@ -662,25 +663,79 @@ def _walks(n_quanta, n_walks):
     return montecarlo.SimConfig.from_preset(preset, n_quanta=n_quanta, n_walks=n_walks)
 
 
-# every size is beyond numpy's index range, so each call fails before touching memory
+_BYTES = "an array of shape {} needs {} bytes, past the budget of {}"
+_DRAWS = "a sweep of {} draws is too large to run, past the budget of 68719476736"
+
+
+# every size is beyond numpy's index range: an array past the byte budget, or a sweep
+# whose plan is past the draw budget, so each call is refused before it allocates
 @pytest.mark.parametrize(
-    "call",
+    "call, error, message",
     [
-        lambda: propagate(Distribution.from_process_probs([0.2, 0.3, 0.5]), _CHAIN3, 2**60),
-        lambda: schemes.closed_form_trajectory(
+        (lambda: propagate(Distribution.from_process_probs([0.2, 0.3, 0.5]), _CHAIN3, 2**60),
+         MemoryError, _BYTES.format((2**60 + 1, 4), (2**60 + 1) * 32, 2**32)),
+        (lambda: schemes.closed_form_trajectory(
             make_preset(SchemeId.III_A, {"p": 0.5}, pb=(0.5, 0.5)), 10**20
-        ),
-        lambda: montecarlo.simulate(_walks(3, 10**20)),
-        lambda: montecarlo.simulate(_walks(10**20, 1)),
-        lambda: montecarlo.absorption_times(_walks(3, 10**20)),
-        lambda: make_preset(SchemeId.IV, m=10**20),
+        ), MemoryError, _BYTES.format((10**20 + 1,), (10**20 + 1) * 8, 2**32)),
+        (lambda: montecarlo.simulate(_walks(3, 10**20)), ParameterError,
+         _DRAWS.format(4 * 10**20)),
+        (lambda: montecarlo.simulate(_walks(10**20, 1)), ParameterError,
+         _DRAWS.format(10**20 + 1)),
+        (lambda: montecarlo.absorption_times(_walks(3, 10**20)), ParameterError,
+         _DRAWS.format(4 * 10**20)),
+        (lambda: make_preset(SchemeId.IV, m=10**20), MemoryError,
+         _BYTES.format((10**20,), 8 * 10**20, 2**32)),
     ],
     ids=["propagate", "closed-form", "simulate-walks", "simulate-quanta", "absorb-walks",
          "iv-ring"],
 )
-def test_counts_numpy_cannot_index_raise_memory_error(call):
-    with pytest.raises(MemoryError, match=r"^an array of shape \(.*\) is too large to allocate$"):
+def test_counts_numpy_cannot_index_raise_memory_error(call, error, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as refused:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == message
+    assert peak < 2**20
+
+
+# (call, the shape of the largest array it makes through model._alloc); every one
+# holds 8-byte entries
+_ALLOC_SITES = [
+    (lambda: propagate(Distribution.from_process_probs([0.2, 0.3, 0.5]), _CHAIN3, 10), (11, 4)),
+    (lambda: closed_form_table(_CHAIN3, [0.2, 0.3, 0.5], np.arange(11)), (11, 4)),
+    # its count vector, (11,), comes first and is admitted
+    (lambda: schemes.closed_form_trajectory(
+        make_preset(SchemeId.III_A, {"p": 0.5}, pb=(0.5, 0.5)), 10
+    ), (11, 3)),
+    (lambda: make_preset(SchemeId.IV, m=7), (7,)),
+    # counts (10, 4) beside first_hit (10,); then first_hit (100,) beside counts (4, 4)
+    (lambda: montecarlo.simulate(montecarlo.SimConfig(
+        _CHAIN3, Distribution([0.2, 0.3, 0.5, 0.0]), 9, 10)), (10, 4)),
+    (lambda: montecarlo.simulate(montecarlo.SimConfig(
+        _CHAIN3, Distribution([0.2, 0.3, 0.5, 0.0]), 3, 100)), (100,)),
+    # the histogram (21,) beside the sweep's first_hit (3,)
+    (lambda: execute(RunSpec("absorb", scheme="I_B", free={"r": 0.5}, pb=(0.5, 0.5),
+                             quanta=20, walks=3, seed=0)), (21,)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, shape",
+    _ALLOC_SITES,
+    ids=["propagate", "closed-form-table", "closed-form-trajectory", "iv-ring",
+         "simulate-counts", "simulate-first-hit", "absorb-histogram"],
+)
+def test_byte_budget_admits_exactly_the_array(monkeypatch, call, shape):
+    nbytes = 8 * math.prod(shape)
+    monkeypatch.setattr(model, "_BYTE_BUDGET", nbytes)
+    call()
+    monkeypatch.setattr(model, "_BYTE_BUDGET", nbytes - 1)
+    with pytest.raises(MemoryError) as refused:
         call()
+    assert str(refused.value) == _BYTES.format(shape, nbytes, nbytes - 1)
 
 
 # ---------------------------------------------------------------------------
